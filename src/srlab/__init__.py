@@ -38,7 +38,6 @@ from .experiments import (
     ExperimentSpec,
     SummaryRow,
     TrialResult,
-    derive_trial_stream,
     estimate_bias,
     estimate_coverage,
     run_bounds_table,
@@ -76,7 +75,6 @@ from .sr import (
     RoundingRecord,
     SrConfig,
     enumerate_distribution,
-    make_stream,
     q_r_numerator,
     rn_config,
     rn_op,

@@ -85,6 +85,19 @@ def _scaled(kappa: float, term: float) -> float:
     return 0.0 if term == 0.0 else kappa * term
 
 
+def _cond(terms) -> float:
+    """sum|t_i| / |sum t_i| of exact dyadic terms; +inf when the sum is zero
+    but some term is not."""
+    acc = DY_ZERO
+    acc_abs = DY_ZERO
+    for v in terms:
+        acc = dy_add(acc, v)
+        acc_abs = dy_add(acc_abs, -v if v.sign < 0 else v)
+    if acc.sign == 0:
+        return 1.0 if acc_abs.sign == 0 else math.inf
+    return float(abs(acc_abs.as_fraction()) / abs(acc.as_fraction()))
+
+
 def cond_sum(a) -> float:
     """Condition number sum|a_i| / |sum a_i| of a summation, via exact arithmetic.
 
@@ -92,15 +105,7 @@ def cond_sum(a) -> float:
     """
     if len(a) == 0:
         raise ValueError("empty vector")
-    acc = DY_ZERO
-    acc_abs = DY_ZERO
-    for x in a:
-        v = dy_from_float(x)
-        acc = dy_add(acc, v)
-        acc_abs = dy_add(acc_abs, DY_ZERO if v.sign == 0 else -v if v.sign < 0 else v)
-    if acc.sign == 0:
-        return 1.0 if acc_abs.sign == 0 else math.inf
-    return float(abs(acc_abs.as_fraction()) / abs(acc.as_fraction()))
+    return _cond(dy_from_float(x) for x in a)
 
 
 def cond_inner(a, b) -> float:
@@ -109,15 +114,7 @@ def cond_inner(a, b) -> float:
         raise ValueError("length mismatch")
     if len(a) == 0:
         raise ValueError("empty vectors")
-    acc = DY_ZERO
-    acc_abs = DY_ZERO
-    for x, y in zip(a, b):
-        v = dy_mul(dy_from_float(x), dy_from_float(y))
-        acc = dy_add(acc, v)
-        acc_abs = dy_add(acc_abs, DY_ZERO if v.sign == 0 else -v if v.sign < 0 else v)
-    if acc.sign == 0:
-        return 1.0 if acc_abs.sign == 0 else math.inf
-    return float(abs(acc_abs.as_fraction()) / abs(acc.as_fraction()))
+    return _cond(dy_mul(dy_from_float(x), dy_from_float(y)) for x, y in zip(a, b))
 
 
 def _bias_bound(m: int, q: BoundQuery) -> float:

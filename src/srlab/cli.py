@@ -8,14 +8,15 @@ domain/range/runtime errors, 2 flag or config errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
 from . import bounds, experiments
 from .dyadic import dy_from_float, dy_q
-from .rounding import FpFormat, SubstrateRangeError, round_down, round_up, truncate, ulp
-from .sr import IDEAL, make_stream, sr_config, sr_sample
+from .rounding import SubstrateRangeError, round_down, round_up, truncate, ulp
+from .sr import IDEAL, RngStream, sr_config, sr_sample
 
 
 def _parse_r_value(token: str):
@@ -54,57 +55,72 @@ def _read_config(path: str) -> dict:
     return values
 
 
-# per-command option schema: dest -> (converter, default)
+_SPEC = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentSpec)}
+
+# options shared by several commands: dest -> (converter, default, help)
+_P = {"p": (int, _SPEC["p"], "target precision (significand bits)")}
+_R_LIST = {"r": (_parse_r_list, _SPEC["r_list"], "random bits, comma list, e.g. 3,7,ideal")}
+_N_GRID = {"n_grid": (_parse_int_list, None, "problem sizes, comma list")}
+_TRIALS = {
+    "trials": (int, _SPEC["trials"], "Monte Carlo trials"),
+    "seed": (int, _SPEC["seed"], "random seed"),
+}
+_OUT_DIR = {"out_dir": (str, _SPEC["out_dir"], "directory for the CSV files")}
+
+# per-command options: dest -> (converter, default, help).  Each option is the
+# flag --<dest> with '_' written '-' (--lambda for lam) and the config key <dest>.
 _SCHEMAS = {
     "round": {
-        "value": (float, None),
-        "p": (int, 11),
-        "r": (_parse_r_value, IDEAL),
-        "samples": (int, 0),
-        "seed": (int, 0),
+        "value": (float, None, "value to round"),
+        **_P,
+        "r": (_parse_r_value, IDEAL, "random bits, or 'ideal'"),
+        "samples": (int, 0, "Monte Carlo samples to draw"),
+        "seed": (int, 0, "random seed"),
     },
     "sum": {
-        "p": (int, 11),
-        "r": (_parse_r_list, (3, 6, 7, 8, 10)),
-        "n_grid": (_parse_int_list, None),
-        "n_max": (int, None),
-        "trials": (int, 500),
-        "seed": (int, 1),
-        "threads": (int, 1),
-        "out_dir": (str, "."),
-        "input_file": (str, None),
+        **_P, **_R_LIST, **_N_GRID,
+        "n_max": (int, None, "grid 10, 20, 40, ... up to n_max"),
+        **_TRIALS, **_OUT_DIR,
+        "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
     },
     "rosenbrock": {
-        "p": (int, 11),
-        "r": (_parse_r_list, (3, 6, 7, 8, 10)),
-        "iters": (int, 5000),
-        "t": (float, 1e-3),
-        "start": (_parse_point, None),
-        "trials": (int, 500),
-        "seed": (int, 1),
-        "threads": (int, 1),
-        "out_dir": (str, "."),
+        **_P, **_R_LIST,
+        "iters": (int, _SPEC["iters"], "gradient-descent iterations"),
+        "t": (float, _SPEC["step"], "learning rate"),
+        "start": (_parse_point, None, "start point 'x,y' (default: both default starts)"),
+        **_TRIALS, **_OUT_DIR,
     },
     "bounds-table": {
-        "p": (int, 11),
-        "r": (_parse_r_list, (3, 6, 7, 8, 10)),
-        "lam": (float, 0.1),
-        "n_grid": (_parse_int_list, None),
-        "n_max": (int, 6000),
-        "out_dir": (str, "."),
+        **_P, **_R_LIST,
+        "lam": (float, _SPEC["lam"], "failure probability"),
+        **_N_GRID,
+        "n_max": (int, _SPEC["n_grid"][-1], "grid 10, 20, 40, ... up to n_max"),
+        **_OUT_DIR,
     },
     "suggest-r": {
-        "n": (int, None),
+        "n": (int, None, "problem size"),
     },
 }
-_SCHEMAS["dot"] = dict(_SCHEMAS["sum"])
+_SCHEMAS["dot"] = _SCHEMAS["sum"]
+
+_COMMANDS = {
+    "round": "inspect the rounding of a single value",
+    "sum": "recursive-summation error experiment",
+    "dot": "inner-product error experiment",
+    "rosenbrock": "gradient-descent convergence experiment",
+    "bounds-table": "evaluate closed-form error bounds on an n grid",
+    "suggest-r": "random-bit budget for a problem size",
+}
+
+# option dest -> ExperimentSpec field, where the names differ
+_SPEC_FIELD = {"r": "r_list", "t": "step"}
 
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
     schema = _SCHEMAS[args.command]
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = _read_config(args.config)
         except OSError as exc:
@@ -115,8 +131,8 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
         if unknown:
             parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
     resolved = {}
-    for key, (conv, default) in schema.items():
-        cli_value = getattr(args, key, None)
+    for key, (conv, default, _) in schema.items():
+        cli_value = getattr(args, key)
         if cli_value is not None:
             resolved[key] = cli_value
         elif key in config:
@@ -129,34 +145,48 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     return resolved
 
 
-def _check_p_r(parser, p, r_values) -> None:
-    if not 2 <= p <= 53:
-        parser.error(f"p must be in [2, 53], got {p}")
-    for r in r_values:
-        if r != IDEAL and (r < 1 or p + r > 53):
-            parser.error(f"r must be in [1, {53 - p}] or 'ideal', got {r}")
-
-
 def _n_grid(opts) -> tuple:
-    if opts.get("n_grid"):
+    """--n-grid, else 10, 20, 40, ... up to --n-max, else the default grid."""
+    if opts["n_grid"]:
         return opts["n_grid"]
-    if opts.get("n_max"):
-        grid, n = [], 10
-        while n < opts["n_max"]:
-            grid.append(n)
-            n *= 2
-        grid.append(opts["n_max"])
-        return tuple(grid)
-    return (10, 100, 1000, 6000)
+    n_max = opts["n_max"]
+    if n_max is None:
+        return _SPEC["n_grid"]
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    grid, n = [], 10
+    while n < n_max:
+        grid.append(n)
+        n *= 2
+    grid.append(n_max)
+    return tuple(grid)
 
 
-def _cmd_round(opts, parser) -> int:
-    if opts["value"] is None:
-        parser.error("--value is required")
-    _check_p_r(parser, opts["p"], [opts["r"]])
-    x, p, r = opts["value"], opts["p"], opts["r"]
-    cfg = sr_config(p, r)
-    fmt = FpFormat(p)
+def _check(command: str, opts):
+    """What the command runs on, built from its options: an ExperimentSpec,
+    the SrConfig of ``round`` or the answer of ``suggest-r``.
+
+    Raises ValueError when an option is missing or out of range.
+    """
+    if command == "round":
+        if opts["value"] is None:
+            raise ValueError("--value is required")
+        return sr_config(opts["p"], opts["r"])
+    if command == "suggest-r":
+        if opts["n"] is None:
+            raise ValueError("--n is required")
+        return bounds.rule_of_thumb_r(opts["n"])
+    fields = {_SPEC_FIELD.get(k, k): v for k, v in opts.items()}
+    fields = {k: v for k, v in fields.items() if k in _SPEC}
+    if "n_max" in opts:
+        fields["n_grid"] = _n_grid(opts)
+    if opts.get("start"):
+        fields["starts"] = (opts["start"],)
+    return experiments.ExperimentSpec(kind=command, **fields)
+
+
+def _round(opts, cfg) -> None:
+    x, p, fmt = opts["value"], cfg.p, cfg.fmt
     q = dy_q(dy_from_float(x), p, cfg.r_bits)
     print(f"value     = {x:.17g}")
     print(f"floor     = {round_down(x, fmt):.17g}")
@@ -166,94 +196,28 @@ def _cmd_round(opts, parser) -> int:
     print(f"truncated = {truncate(x, p + cfg.r_bits):.17g}  (width {p + cfg.r_bits})")
     print(f"q_r       = {q} (= {float(q):.17g})")
     if opts["samples"] > 0:
-        rng = make_stream(opts["seed"], 0)
-        samples = sr_sample(x, cfg, rng, opts["samples"])
+        samples = sr_sample(x, cfg, RngStream(opts["seed"], 0), opts["samples"])
         lo, up = round_down(x, fmt), round_up(x, fmt)
         freq = float((samples == up).mean()) if lo != up else 0.0
         print(f"empirical up-frequency over {opts['samples']} samples: {freq:.6f}")
-    return 0
 
 
-def _cmd_table(kind: str, opts, parser) -> int:
-    _check_p_r(parser, opts["p"], opts["r"])
-    if opts["trials"] < 1:
-        parser.error("trials must be >= 1")
-    spec = experiments.ExperimentSpec(
-        kind=kind,
-        p=opts["p"],
-        r_list=opts["r"],
-        n_grid=_n_grid(opts),
-        trials=opts["trials"],
-        seed=opts["seed"],
-        threads=opts["threads"],
-        input_file=opts["input_file"],
-        out_dir=opts["out_dir"],
-    )
-    t0 = time.perf_counter()
-    runner = experiments.run_sum_experiment if kind == "sum" else experiments.run_dot_experiment
-    rows = runner(spec)
-    elapsed = time.perf_counter() - t0
-    path = Path(spec.out_dir) / experiments.csv_name(spec)
-    experiments.write_rows(path, rows)
-    print(f"wrote {path} ({elapsed:.2f}s)")
-    return 0
-
-
-def _cmd_rosenbrock(opts, parser) -> int:
-    _check_p_r(parser, opts["p"], opts["r"])
-    if opts["iters"] < 0:
-        parser.error("iters must be >= 0")
-    if opts["t"] <= 0:
-        parser.error("t must be positive")
-    starts = (opts["start"],) if opts["start"] else experiments.DEFAULT_STARTS
-    spec = experiments.ExperimentSpec(
-        kind="rosenbrock",
-        p=opts["p"],
-        r_list=opts["r"],
-        iters=opts["iters"],
-        step=opts["t"],
-        starts=starts,
-        trials=opts["trials"],
-        seed=opts["seed"],
-        threads=opts["threads"],
-        out_dir=opts["out_dir"],
-    )
-    for start in starts:
+def _experiment(spec: experiments.ExperimentSpec) -> None:
+    """Run the experiment and write its CSV, one per start for Rosenbrock."""
+    for start in spec.starts if spec.kind == "rosenbrock" else (None,):
         t0 = time.perf_counter()
-        rows = experiments.run_rosenbrock(spec, start)
+        if spec.kind == "sum":
+            rows = experiments.run_sum_experiment(spec)
+        elif spec.kind == "dot":
+            rows = experiments.run_dot_experiment(spec)
+        elif spec.kind == "rosenbrock":
+            rows = experiments.run_rosenbrock(spec, start)
+        else:
+            rows = experiments.run_bounds_table(spec)
         elapsed = time.perf_counter() - t0
         path = Path(spec.out_dir) / experiments.csv_name(spec, start)
         experiments.write_rows(path, rows)
         print(f"wrote {path} ({elapsed:.2f}s)")
-    return 0
-
-
-def _cmd_bounds_table(opts, parser) -> int:
-    _check_p_r(parser, opts["p"], opts["r"])
-    if not 0.0 < opts["lam"] < 1.0:
-        parser.error("lambda must be in (0, 1)")
-    spec = experiments.ExperimentSpec(
-        kind="bounds-table",
-        p=opts["p"],
-        r_list=opts["r"],
-        n_grid=_n_grid(opts),
-        lam=opts["lam"],
-        out_dir=opts["out_dir"],
-    )
-    rows = experiments.run_bounds_table(spec)
-    path = Path(spec.out_dir) / experiments.csv_name(spec)
-    experiments.write_rows(path, rows)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_suggest_r(opts, parser) -> int:
-    if opts["n"] is None:
-        parser.error("--n is required")
-    if opts["n"] < 2:
-        parser.error("n must be >= 2")
-    print(bounds.rule_of_thumb_r(opts["n"]))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,56 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Limited-precision stochastic rounding laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, help_text in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key = value config file; flags win")
-        return sp
-
-    sp = add("round", "inspect the rounding of a single value")
-    sp.add_argument("--value", type=float, help="value to round")
-    sp.add_argument("--p", type=int, help="target precision (significand bits)")
-    sp.add_argument("--r", type=_parse_r_value, help="random bits, or 'ideal'")
-    sp.add_argument("--samples", type=int, help="Monte Carlo samples to draw")
-    sp.add_argument("--seed", type=int, help="random seed")
-
-    for name, help_text in (
-        ("sum", "recursive-summation error experiment"),
-        ("dot", "inner-product error experiment"),
-    ):
-        sp = add(name, help_text)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--r", type=_parse_r_list, help="comma list, e.g. 3,7,ideal")
-        sp.add_argument("--n-grid", type=_parse_int_list, dest="n_grid")
-        sp.add_argument("--n-max", type=int, dest="n_max")
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--input-file", dest="input_file")
-
-    sp = add("rosenbrock", "gradient-descent convergence experiment")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=_parse_r_list)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--t", type=float, help="learning rate")
-    sp.add_argument("--start", type=_parse_point, help="start point 'x,y'")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--out-dir", dest="out_dir")
-
-    sp = add("bounds-table", "evaluate closed-form error bounds on an n grid")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=_parse_r_list)
-    sp.add_argument("--lambda", type=float, dest="lam", help="failure probability")
-    sp.add_argument("--n-grid", type=_parse_int_list, dest="n_grid")
-    sp.add_argument("--n-max", type=int, dest="n_max")
-    sp.add_argument("--out-dir", dest="out_dir")
-
-    sp = add("suggest-r", "random-bit budget for a problem size")
-    sp.add_argument("--n", type=int, help="problem size")
-
+        for dest, (conv, _, help_opt) in _SCHEMAS[name].items():
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            sp.add_argument(flag, dest=dest, type=conv, help=help_opt)
     return parser
 
 
@@ -320,20 +240,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     opts = _resolve(args, parser)
     try:
+        target = _check(args.command, opts)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         if args.command == "round":
-            return _cmd_round(opts, parser)
-        if args.command in ("sum", "dot"):
-            return _cmd_table(args.command, opts, parser)
-        if args.command == "rosenbrock":
-            return _cmd_rosenbrock(opts, parser)
-        if args.command == "bounds-table":
-            return _cmd_bounds_table(opts, parser)
-        if args.command == "suggest-r":
-            return _cmd_suggest_r(opts, parser)
+            _round(opts, target)
+        elif args.command == "suggest-r":
+            print(target)
+        else:
+            _experiment(target)
     except (ValueError, SubstrateRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 Trials are paired: each (n, trial) input vector is drawn once and shared by
 every rounding mode, so mode comparisons see identical data.  Each trial
 owns its own random stream (stream_id = trial index) and results are
-aggregated in trial order, which makes parallel and serial execution
-byte-identical.
+aggregated in trial order, so the CSV bytes depend only on the spec.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,15 +20,7 @@ from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
 from .rounding import FpFormat, round_nearest
-from .sr import (
-    IDEAL,
-    RngStream,
-    SrConfig,
-    make_stream,
-    rn_config,
-    sr_config,
-    sr_sample,
-)
+from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config, sr_sample
 
 _INV_2_53 = 2.0 ** -53
 
@@ -39,7 +29,11 @@ DEFAULT_STARTS = ((0.0, 0.0), (0.5, 0.5))
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
+
+    The field defaults are the CLI defaults, and construction validates
+    every field; a bad value raises ValueError.
+    """
 
     kind: str  # sum | dot | rosenbrock | bounds-table
     p: int = 11
@@ -53,20 +47,29 @@ class ExperimentSpec:
     lam: float = 0.1
     input_file: str | None = None  # fixed input vector(s); default draws uniform(0,1)
     out_dir: str = "."
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in ("sum", "dot", "rosenbrock", "bounds-table"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        # SrConfig rejects p outside [2, 53] and r outside [1, 53 - p] or
+        # IDEAL.  A bound table may ask about p = 53 with r = IDEAL, which
+        # leaves no random bit; a rounding run cannot use it.
+        fmt = FpFormat(self.p)
+        mode = MODE_RN if self.kind == "bounds-table" else MODE_SR
+        for r in self.r_list:
+            SrConfig(fmt, r, mode)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
-        for r in self.r_list:
-            if r != IDEAL and self.p + r > 53:
-                raise ValueError(f"p + r must not exceed 53 (p={self.p}, r={r})")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.n_grid and self.n_grid[0] < 1:
+            raise ValueError(f"n_grid sizes must be >= 1, got {self.n_grid[0]}")
+        if self.iters < 0:
+            raise ValueError("iters must be >= 0")
+        if not self.step > 0:
+            raise ValueError("t must be positive")
+        if not 0.0 < self.lam < 1.0:
+            raise ValueError("lambda must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,6 @@ class SummaryRow:
     mode: str
     value: float
     stderr: float
-
-
-def derive_trial_stream(seed: int, trial_index: int) -> RngStream:
-    """One independent stream per trial; stream_id is the trial index."""
-    return make_stream(seed, trial_index)
 
 
 def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:
@@ -112,68 +110,49 @@ def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float
     return cols
 
 
-def _sum_modes(spec: ExperimentSpec) -> list[SrConfig]:
-    return [rn_config(spec.p)] + [sr_config(spec.p, r) for r in spec.r_list]
+# kind -> (input columns, exact reference, kernel).  The lambdas look the
+# reference and the kernel up at call time, so rebinding those module names
+# (as the perfbench shims do) reaches every trial.
+_TRIAL_KINDS = {
+    "sum": (
+        1,
+        lambda a: exact_sum(a),
+        lambda a, cfg, rng, exact: recursive_sum(a, cfg, rng, exact=exact, validate=False),
+    ),
+    "dot": (
+        2,
+        lambda a, b: exact_dot(a, b),
+        lambda a, b, cfg, rng, exact: inner_product(
+            a, b, cfg, rng, exact=exact, validate=False
+        ),
+    ),
+}
 
 
-def _run_trials(spec: ExperimentSpec, worker) -> list[TrialResult]:
-    indices = range(spec.trials)
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            chunks = list(pool.map(worker, indices))
-    else:
-        chunks = [worker(i) for i in indices]
-    return [row for chunk in chunks for row in chunk]
+def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
+    """Per-trial relative errors of the sum or dot kernel for every mode.
 
-
-def run_sum_trials(spec: ExperimentSpec) -> list[TrialResult]:
-    """Per-trial relative errors of recursive summation for every mode."""
-    modes = _sum_modes(spec)
+    Trial t uses ``RngStream(spec.seed, t)`` in a fixed order: draw the
+    input columns for each n, take the exact reference, then run every mode
+    in turn on the same data.
+    """
+    columns, reference, kernel = _TRIAL_KINDS[spec.kind]
+    modes = [rn_config(spec.p)] + [sr_config(spec.p, r) for r in spec.r_list]
     fmt = FpFormat(spec.p)
     fixed = None
     if spec.input_file is not None:
-        fixed = _load_vector_file(spec.input_file, fmt, 1)[0]
-    grid = [len(fixed)] if fixed is not None else list(spec.n_grid)
-
-    def worker(trial: int) -> list[TrialResult]:
-        rng = derive_trial_stream(spec.seed, trial)
-        out = []
-        for n in grid:
-            vec = fixed if fixed is not None else _draw_uniform_p(rng, n, fmt)
-            exact = exact_sum(vec)
-            for cfg in modes:
-                res = recursive_sum(vec, cfg, rng, exact=exact, validate=False)
-                out.append(TrialResult(n, cfg.label, res.rel_error, trial))
-        return out
-
-    return _run_trials(spec, worker)
-
-
-def run_dot_trials(spec: ExperimentSpec) -> list[TrialResult]:
-    """Per-trial relative errors of the inner product for every mode."""
-    modes = _sum_modes(spec)
-    fmt = FpFormat(spec.p)
-    fixed = None
-    if spec.input_file is not None:
-        fixed = _load_vector_file(spec.input_file, fmt, 2)
+        fixed = _load_vector_file(spec.input_file, fmt, columns)
     grid = [len(fixed[0])] if fixed is not None else list(spec.n_grid)
-
-    def worker(trial: int) -> list[TrialResult]:
-        rng = derive_trial_stream(spec.seed, trial)
-        out = []
+    out = []
+    for trial in range(spec.trials):
+        rng = RngStream(spec.seed, trial)
         for n in grid:
-            if fixed is not None:
-                a, b = fixed
-            else:
-                a = _draw_uniform_p(rng, n, fmt)
-                b = _draw_uniform_p(rng, n, fmt)
-            exact = exact_dot(a, b)
+            vecs = fixed or [_draw_uniform_p(rng, n, fmt) for _ in range(columns)]
+            exact = reference(*vecs)
             for cfg in modes:
-                res = inner_product(a, b, cfg, rng, exact=exact, validate=False)
+                res = kernel(*vecs, cfg, rng, exact)
                 out.append(TrialResult(n, cfg.label, res.rel_error, trial))
-        return out
-
-    return _run_trials(spec, worker)
+    return out
 
 
 def aggregate_trials(trials: list[TrialResult]) -> list[SummaryRow]:
@@ -196,12 +175,12 @@ def aggregate_trials(trials: list[TrialResult]) -> list[SummaryRow]:
 
 def run_sum_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Mean relative error per (n, mode) for recursive summation."""
-    return aggregate_trials(run_sum_trials(spec))
+    return aggregate_trials(run_trials(spec))
 
 
 def run_dot_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """Mean relative error per (n, mode) for the inner product."""
-    return aggregate_trials(run_dot_trials(spec))
+    return aggregate_trials(run_trials(spec))
 
 
 def run_bounds_table(spec: ExperimentSpec) -> list[SummaryRow]:
@@ -227,7 +206,7 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
     npoints = spec.iters + 1
 
     def losses_of(cfg: SrConfig, trial: int) -> np.ndarray:
-        rng = derive_trial_stream(spec.seed, trial)
+        rng = RngStream(spec.seed, trial)
         traj = gd_rosenbrock(start, spec.step, spec.iters, cfg, rng)
         out = np.full(npoints, math.nan)
         out[: len(traj.loss_series)] = traj.loss_series
@@ -239,18 +218,8 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
             SummaryRow(k, cfg.label, float(series[k]), 0.0) for k in range(npoints)
         )
 
-    sr_modes = [sr_config(spec.p, r) for r in spec.r_list]
-    for cfg in sr_modes:
-
-        def worker(trial: int, cfg=cfg) -> list[np.ndarray]:
-            return [losses_of(cfg, trial)]
-
-        if spec.threads > 1:
-            with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-                series = [s for chunk in pool.map(worker, range(spec.trials)) for s in chunk]
-        else:
-            series = [worker(i)[0] for i in range(spec.trials)]
-        stacked = np.vstack(series)
+    for cfg in (sr_config(spec.p, r) for r in spec.r_list):
+        stacked = np.vstack([losses_of(cfg, trial) for trial in range(spec.trials)])
         mean = stacked.mean(axis=0)
         if spec.trials > 1:
             se = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)
@@ -266,7 +235,7 @@ def estimate_bias(x: float, cfg: SrConfig, trials: int, seed: int) -> tuple[floa
     """Sample mean and standard error of repeated stochastic roundings of x."""
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    samples = sr_sample(x, cfg, make_stream(seed, 0), trials)
+    samples = sr_sample(x, cfg, RngStream(seed, 0), trials)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return mean, stderr

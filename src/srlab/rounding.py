@@ -29,13 +29,10 @@ class FpFormat:
     """Target format: ``p`` significand bits (leading 1 included)."""
 
     p: int
-    substrate_width: int = SUBSTRATE_WIDTH
 
     def __post_init__(self):
-        if self.substrate_width != SUBSTRATE_WIDTH:
-            raise ValueError("only the binary64 substrate (width 53) is supported")
-        if not 2 <= self.p <= self.substrate_width:
-            raise ValueError(f"p must be in [2, {self.substrate_width}], got {self.p}")
+        if not 2 <= self.p <= SUBSTRATE_WIDTH:
+            raise ValueError(f"p must be in [2, {SUBSTRATE_WIDTH}], got {self.p}")
 
     @property
     def unit_roundoff(self) -> float:

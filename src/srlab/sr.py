@@ -30,9 +30,7 @@ from .rounding import (
     _rebuild,
     _split,
     is_representable,
-    round_down,
     round_nearest,
-    round_up,
     truncate,
 )
 
@@ -92,10 +90,6 @@ class RngStream:
         if k < 64:
             out &= np.uint64((1 << k) - 1)
         return out
-
-
-def make_stream(seed: int, stream_id: int = 0) -> RngStream:
-    return RngStream(seed, stream_id)
 
 
 @dataclass(frozen=True)
@@ -198,24 +192,6 @@ def sr_round_traced(x: float, cfg: SrConfig, rng: RngStream) -> tuple[float, Rou
         return y, RoundingRecord(x, y, 0.0, 0.0)
     fl = truncate(x, cfg.fmt.p + cfg.r_bits)
     return y, RoundingRecord(x, y, (y - x) / x, (fl - x) / x)
-
-
-def sr_round_comparison(x: float, cfg: SrConfig, rng: RngStream) -> float:
-    """Reference path: draw an r-bit uniform Z and round up iff Z < k.
-
-    Distribution-equivalent to :func:`sr_round`; kept only so tests can
-    check the carry-based mechanism against an independent formulation.
-    """
-    _check_finite(x)
-    if x == 0.0:
-        return x
-    k = q_r_numerator(x, cfg)
-    if k == 0:
-        M, _ = _split(x)
-        if M & cfg.mask_p == 0:
-            return x
-    z = rng.next_bits(cfg.r_bits)
-    return round_up(x, cfg.fmt) if z < k else round_down(x, cfg.fmt)
 
 
 def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:

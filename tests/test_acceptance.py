@@ -29,15 +29,14 @@ from srlab.experiments import (
     ExperimentSpec,
     aggregate_trials,
     estimate_coverage,
-    run_dot_trials,
-    run_sum_trials,
+    run_trials,
 )
 from srlab.kernels import gd_rosenbrock, recursive_sum
 from srlab.rounding import FpFormat, round_nearest, truncate, ulp
 from srlab.sr import (
     IDEAL,
+    RngStream,
     enumerate_distribution,
-    make_stream,
     rn_config,
     sr_config,
     sr_round,
@@ -97,7 +96,7 @@ def bias_variance_cases():
         p = P_CYCLE[i % 4]
         r = r_cycle[i % 5]
         cfg = sr_config(p, r)
-        samples = sr_sample(x, cfg, make_stream(777, i), N)
+        samples = sr_sample(x, cfg, RngStream(777, i), N)
         q = dy_q(dy_from_float(x), p, r)
         cases.append((x, p, r, samples, float(q), truncate(x, p + r), ulp(x, FpFormat(p))))
     return cases, N
@@ -156,7 +155,7 @@ def sum_experiment():
         trials=SUM_TRIALS,
         seed=31415,
     )
-    trials = run_sum_trials(spec)
+    trials = run_trials(spec)
     by = {(row.x, row.mode): row for row in aggregate_trials(trials)}
     return spec, trials, by
 
@@ -194,7 +193,7 @@ def test_criterion_05_probabilistic_coverage(sum_experiment):
     dot_spec = ExperimentSpec(
         kind="dot", p=11, r_list=(7,), n_grid=(10, 100, 1000), trials=SUM_TRIALS, seed=927
     )
-    dot_trials = run_dot_trials(dot_spec)
+    dot_trials = run_trials(dot_spec)
     for n in dot_spec.n_grid:
         errors = [t.value for t in dot_trials if t.x == n and t.mode == "sr7"]
         bound = bc_bound_inner(BoundQuery(n=n, p=11, r=7, lam=0.1))
@@ -212,7 +211,7 @@ def test_criterion_06_bias_bound_summation():
     fmt8 = FpFormat(8)
     failures = []
     for n in (100, 1000):
-        draw = make_stream(606, n)
+        draw = RngStream(606, n)
         vec = [round_nearest(draw.next_bits(53) * 2.0 ** -53, fmt8) for _ in range(n)]
         exact = exact_sum(vec)
         y = float(exact.as_fraction())
@@ -220,7 +219,7 @@ def test_criterion_06_bias_bound_summation():
             cfg = sr_config(8, r)
             vals = np.array(
                 [
-                    recursive_sum(vec, cfg, make_stream(1000 + r, t), exact=exact, validate=False).value
+                    recursive_sum(vec, cfg, RngStream(1000 + r, t), exact=exact, validate=False).value
                     for t in range(T)
                 ]
             )
@@ -263,11 +262,11 @@ def test_criterion_07_bound_shape_and_ordering():
 def test_criterion_08_rosenbrock_update_modes():
     iters, t = 5000, 1e-3
     start = (0.0, 0.0)
-    base = gd_rosenbrock(start, t, iters, rn_config(53), make_stream(0, 0)).loss_series[-1]
-    rn = gd_rosenbrock(start, t, iters, rn_config(11), make_stream(0, 0)).loss_series[-1]
+    base = gd_rosenbrock(start, t, iters, rn_config(53), RngStream(0, 0)).loss_series[-1]
+    rn = gd_rosenbrock(start, t, iters, rn_config(11), RngStream(0, 0)).loss_series[-1]
     cfg = sr_config(11, 8)
     finals = [
-        gd_rosenbrock(start, t, iters, cfg, make_stream(808, trial)).loss_series[-1]
+        gd_rosenbrock(start, t, iters, cfg, RngStream(808, trial)).loss_series[-1]
         for trial in range(100)
     ]
     sr_mean = float(np.mean(finals))
@@ -319,7 +318,7 @@ def test_criterion_10_powerset_oracle_and_envelope():
             round_nearest((rng.random() * 3.75 + 0.25) * rng.choice((-1.0, 1.0)), fmt11)
             for _ in range(12)
         ]
-        res = recursive_sum(vec, cfg, make_stream(717, case), trace=True)
+        res = recursive_sum(vec, cfg, RngStream(717, case), trace=True)
         deltas = [rec.delta for rec in res.records]
         alphas = [rec.delta - rec.beta for rec in res.records]
         betas = [rec.beta for rec in res.records]

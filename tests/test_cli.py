@@ -72,6 +72,38 @@ def test_invalid_p_r_combination_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rosenbrock", "--trials", "0"],
+        ["sum", "--n-grid", "100,10"],
+        ["sum", "--n-grid", "0"],
+        ["sum", "--n-grid", "-5"],
+        ["sum", "--n-max", "0"],
+        ["sum", "--p", "53", "--r", "ideal"],
+        ["rosenbrock", "--p", "53", "--r", "ideal"],
+        ["round", "--value", "1.0", "--p", "53", "--r", "ideal"],
+    ],
+    ids=" ".join,
+)
+def test_bad_experiment_flags_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_bounds_table_accepts_p53_ideal(tmp_path, capsys):
+    code, _, _ = run_cli(
+        ["bounds-table", "--p", "53", "--r", "ideal", "--n-grid", "10",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert (tmp_path / "bounds-table_p53_rideal.csv").exists()
+
+
 def test_sum_writes_deterministic_csv(tmp_path, capsys):
     args = [
         "sum", "--p", "11", "--r", "3,7", "--n-grid", "10,20",

@@ -10,18 +10,16 @@ from srlab.experiments import (
     SummaryRow,
     aggregate_trials,
     csv_name,
-    derive_trial_stream,
     estimate_bias,
     estimate_coverage,
     run_bounds_table,
     run_dot_experiment,
-    run_dot_trials,
     run_rosenbrock,
     run_sum_experiment,
-    run_sum_trials,
+    run_trials,
     write_rows,
 )
-from srlab.sr import IDEAL
+from srlab.sr import IDEAL, RngStream
 
 TINY_SUM = ExperimentSpec(
     kind="sum", p=11, r_list=(3, 7), n_grid=(10, 30), trials=6, seed=42
@@ -59,16 +57,8 @@ def test_single_trial_rn_column_deterministic():
     assert all(r.stderr == 0.0 for r in rows)
 
 
-def test_parallel_and_serial_runs_are_byte_identical(tmp_path):
-    serial = replace(TINY_SUM, threads=1)
-    parallel = replace(TINY_SUM, threads=4)
-    p1 = write_rows(tmp_path / "serial.csv", run_sum_experiment(serial))
-    p2 = write_rows(tmp_path / "parallel.csv", run_sum_experiment(parallel))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_trial_results_paired_across_modes():
-    trials = run_sum_trials(replace(TINY_SUM, trials=3))
+    trials = run_trials(replace(TINY_SUM, trials=3))
     keys = {(t.x, t.mode, t.trial) for t in trials}
     assert len(keys) == len(trials)
     for t in trials:
@@ -81,12 +71,12 @@ def test_dot_experiment_structure():
     assert len(rows) == 2 * 2  # two n values, modes rn and sr7
 
 
-def test_derive_trial_stream_contract():
-    a = derive_trial_stream(9, 0)
-    b = derive_trial_stream(9, 1)
+def test_trial_stream_contract():
+    a = RngStream(9, 0)
+    b = RngStream(9, 1)
     assert a.next_bits(64) != b.next_bits(64)
-    c = derive_trial_stream(9, 0)
-    c2 = derive_trial_stream(9, 0)
+    c = RngStream(9, 0)
+    c2 = RngStream(9, 0)
     assert [c.next_bits(16) for _ in range(32)] == [c2.next_bits(16) for _ in range(32)]
 
 
@@ -183,7 +173,7 @@ def test_input_file_fixes_vector(tmp_path):
     spec = ExperimentSpec(
         kind="sum", p=11, r_list=(3,), trials=2, seed=5, input_file=str(data)
     )
-    trials = run_sum_trials(spec)
+    trials = run_trials(spec)
     assert {t.x for t in trials} == {3}
     rows = aggregate_trials(trials)
     assert all(r.value == 0.0 for r in rows)  # sums of these are exact at p=11
@@ -195,5 +185,5 @@ def test_input_file_dot(tmp_path):
     spec = ExperimentSpec(
         kind="dot", p=11, r_list=(3,), trials=2, seed=5, input_file=str(data)
     )
-    trials = run_dot_trials(spec)
+    trials = run_trials(spec)
     assert {t.x for t in trials} == {2}

@@ -12,13 +12,13 @@ from srlab.kernels import (
     rosenbrock_grad,
 )
 from srlab.rounding import SubstrateRangeError
-from srlab.sr import make_stream, rn_config, sr_config
+from srlab.sr import RngStream, rn_config, sr_config
 
 from test_sr import FixedStream
 
 
 def test_sum_single_element():
-    res = recursive_sum([3.5], sr_config(11, 3), make_stream(0, 0))
+    res = recursive_sum([3.5], sr_config(11, 3), RngStream(0, 0))
     assert res.value == 3.5
     assert res.rel_error == 0.0
     assert res.op_count == 0
@@ -27,7 +27,7 @@ def test_sum_single_element():
 def test_sum_of_ones_stagnates_at_2048():
     # at p=11 the grid spacing above 2048 is 2, so +1 always ties back down
     cfg = rn_config(11)
-    rng = make_stream(0, 0)
+    rng = RngStream(0, 0)
     res = recursive_sum([1.0] * 2048, cfg, rng)
     assert res.value == 2048.0
     longer = recursive_sum([1.0] * 2600, cfg, rng)
@@ -45,28 +45,28 @@ def test_sum_exact_when_partial_sums_representable():
 
 def test_sum_schedule_has_n_minus_1_roundings():
     vec = [1.0 + k * 2.0 ** -9 for k in range(50)]
-    res = recursive_sum(vec, sr_config(11, 4), make_stream(1, 0), trace=True)
+    res = recursive_sum(vec, sr_config(11, 4), RngStream(1, 0), trace=True)
     assert res.op_count == 49
     assert len(res.records) == 49
 
 
 def test_sum_validates_inputs():
     with pytest.raises(ValueError):
-        recursive_sum([], sr_config(11, 3), make_stream(0, 0))
+        recursive_sum([], sr_config(11, 3), RngStream(0, 0))
     with pytest.raises(ValueError):
-        recursive_sum([1.0, 1.0 + 2.0 ** -30], sr_config(11, 3), make_stream(0, 0))
+        recursive_sum([1.0, 1.0 + 2.0 ** -30], sr_config(11, 3), RngStream(0, 0))
 
 
 def test_sum_range_error_reports_index():
     vec = [1.5 * 2.0 ** 1023, 2.0 ** 1021]  # p=2 values; RN of the sum overflows
     with pytest.raises(SubstrateRangeError, match="index 1"):
-        recursive_sum(vec, rn_config(2), make_stream(0, 0))
+        recursive_sum(vec, rn_config(2), RngStream(0, 0))
 
 
 def test_sum_expansion_matches_trace():
     # value == sum of a_i * prod of (1 + delta) over later roundings
     vec = [0.75, 1.25, 0.5, 1.5, 0.875]
-    res = recursive_sum(vec, sr_config(8, 2), make_stream(9, 0), trace=True)
+    res = recursive_sum(vec, sr_config(8, 2), RngStream(9, 0), trace=True)
     deltas = [r.delta for r in res.records]
     recon = 0.0
     for i, a in enumerate(vec):
@@ -96,7 +96,7 @@ def test_dot_zero_tail_exact():
 def test_dot_schedule_has_2n_minus_1_roundings():
     a = [1.0 + k * 2.0 ** -7 for k in range(17)]
     b = [1.0 - k * 2.0 ** -8 for k in range(17)]
-    res = inner_product(a, b, sr_config(11, 4), make_stream(2, 0), trace=True)
+    res = inner_product(a, b, sr_config(11, 4), RngStream(2, 0), trace=True)
     assert res.op_count == 33
     assert len(res.records) == 33
 
@@ -115,14 +115,14 @@ def test_dot_full_distribution_enumerable():
     total = 0.0
     trials = 4000
     for t in range(trials):
-        total += inner_product([1.5, 1.5], [1.5, 1.5], cfg, make_stream(3, t)).value
+        total += inner_product([1.5, 1.5], [1.5, 1.5], cfg, RngStream(3, t)).value
     se = math.sqrt(0.75 / trials)
     assert abs(total / trials - 4.5) <= 4 * se
 
 
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
-        inner_product([1.0], [1.0, 2.0], sr_config(11, 3), make_stream(0, 0))
+        inner_product([1.0], [1.0, 2.0], sr_config(11, 3), RngStream(0, 0))
 
 
 def test_rosenbrock_values():
@@ -135,14 +135,14 @@ def test_rosenbrock_values():
 
 
 def test_gd_zero_gradient_is_fixed_point():
-    traj = gd_rosenbrock((1.0, 1.0), 0.001, 50, sr_config(11, 8), make_stream(0, 0))
+    traj = gd_rosenbrock((1.0, 1.0), 0.001, 50, sr_config(11, 8), RngStream(0, 0))
     assert all(pt == (1.0, 1.0) for pt in traj.iterates)
     assert all(loss == 0.0 for loss in traj.loss_series)
     assert not traj.diverged
 
 
 def test_gd_zero_iterations():
-    traj = gd_rosenbrock((0.5, 0.5), 0.001, 0, rn_config(11), make_stream(0, 0))
+    traj = gd_rosenbrock((0.5, 0.5), 0.001, 0, rn_config(11), RngStream(0, 0))
     assert traj.iterates == [(0.5, 0.5)]
     assert len(traj.loss_series) == 1
 
@@ -150,34 +150,34 @@ def test_gd_zero_iterations():
 def test_gd_one_substrate_step():
     # from (0,0) with t = 0.001 the first step lands at (0.002, 0);
     # loss frozen from a 40-digit evaluation of f at that float
-    traj = gd_rosenbrock((0.0, 0.0), 0.001, 1, rn_config(53), make_stream(0, 0))
+    traj = gd_rosenbrock((0.0, 0.0), 0.001, 1, rn_config(53), RngStream(0, 0))
     assert traj.iterates[1] == (0.001 * 2.0, 0.0)
     assert traj.loss_series[1] == pytest.approx(0.99600400159999999992, rel=1e-14)
 
 
 def test_gd_deterministic_given_stream():
-    a = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), make_stream(5, 7))
-    b = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), make_stream(5, 7))
+    a = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), RngStream(5, 7))
+    b = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), RngStream(5, 7))
     assert a.iterates == b.iterates
     assert a.loss_series == b.loss_series
 
 
 def test_gd_divergence_flag():
-    traj = gd_rosenbrock((0.0, 0.0), 1e120, 10, rn_config(53), make_stream(0, 0))
+    traj = gd_rosenbrock((0.0, 0.0), 1e120, 10, rn_config(53), RngStream(0, 0))
     assert traj.diverged
     assert len(traj.iterates) < 11
 
 
 def test_gd_rejects_bad_args():
     with pytest.raises(ValueError):
-        gd_rosenbrock((0.0, 0.0), -1.0, 5, rn_config(11), make_stream(0, 0))
+        gd_rosenbrock((0.0, 0.0), -1.0, 5, rn_config(11), RngStream(0, 0))
     with pytest.raises(ValueError):
-        gd_rosenbrock((0.0, 0.0), 0.001, -1, rn_config(11), make_stream(0, 0))
+        gd_rosenbrock((0.0, 0.0), 0.001, -1, rn_config(11), RngStream(0, 0))
 
 
 def test_exact_reference_uses_dyadic_sum():
     vec = [0.1, 0.2, 0.3]
-    res = recursive_sum(vec, rn_config(53), make_stream(0, 0))
+    res = recursive_sum(vec, rn_config(53), RngStream(0, 0))
     assert res.exact.as_fraction() == sum(Fraction(v) for v in vec)
     assert res.exact == exact_sum(vec)
     # the binary64 run is itself inexact against the dyadic reference
@@ -189,6 +189,6 @@ def test_exact_reference_uses_dyadic_sum():
 def test_precomputed_exact_is_honored():
     vec = [1.0, 2.0]
     fake = dy_from_float(4.0)
-    res = recursive_sum(vec, rn_config(11), make_stream(0, 0), exact=fake)
+    res = recursive_sum(vec, rn_config(11), RngStream(0, 0), exact=fake)
     assert res.exact == fake
     assert res.rel_error == 0.25

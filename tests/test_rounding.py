@@ -185,6 +185,4 @@ def test_fpformat_validation():
         FpFormat(1)
     with pytest.raises(ValueError):
         FpFormat(54)
-    with pytest.raises(ValueError):
-        FpFormat(11, substrate_width=64)
     assert FpFormat(11).unit_roundoff == 2.0 ** -10

@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 from srlab.dyadic import dy_from_float, dy_q
-from srlab.rounding import FpFormat, round_down, round_up, truncate, ulp
+from srlab.rounding import FpFormat, _check_finite, _split, round_down, round_up, truncate, ulp
 from srlab.sr import (
     IDEAL,
     RngStream,
     SrConfig,
     enumerate_distribution,
-    make_stream,
     q_r_numerator,
     rn_config,
     rn_op,
     sr_config,
     sr_op,
     sr_round,
-    sr_round_comparison,
     sr_round_traced,
     sr_sample,
 )
@@ -24,6 +22,24 @@ from srlab.sr import (
 from conftest import random_substrate_values
 
 GOLDEN_FIRST_WORD = 0x02F4BA6408E4D89B  # first 64 bits of stream (0, 0), frozen
+
+
+def sr_round_comparison(x: float, cfg: SrConfig, rng) -> float:
+    """Reference path: draw an r-bit uniform Z and round up iff Z < k.
+
+    Distribution-equivalent to :func:`sr_round`; an independent formulation
+    to check the carry-based mechanism against.
+    """
+    _check_finite(x)
+    if x == 0.0:
+        return x
+    k = q_r_numerator(x, cfg)
+    if k == 0:
+        M, _ = _split(x)
+        if M & cfg.mask_p == 0:
+            return x
+    z = rng.next_bits(cfg.r_bits)
+    return round_up(x, cfg.fmt) if z < k else round_down(x, cfg.fmt)
 
 
 class FixedStream:
@@ -44,26 +60,26 @@ class FixedStream:
 
 
 def test_stream_reproducible():
-    a = make_stream(123, 5)
-    b = make_stream(123, 5)
+    a = RngStream(123, 5)
+    b = RngStream(123, 5)
     assert [a.next_bits(64) for _ in range(100)] == [b.next_bits(64) for _ in range(100)]
 
 
 def test_stream_golden_value():
-    assert make_stream(0, 0).next_bits(64) == GOLDEN_FIRST_WORD
+    assert RngStream(0, 0).next_bits(64) == GOLDEN_FIRST_WORD
 
 
 def test_distinct_streams_differ():
-    a = make_stream(123, 0)
-    b = make_stream(123, 1)
-    c = make_stream(124, 0)
+    a = RngStream(123, 0)
+    b = RngStream(123, 1)
+    c = RngStream(124, 0)
     seq_a = [a.next_bits(64) for _ in range(8)]
     assert seq_a != [b.next_bits(64) for _ in range(8)]
     assert seq_a != [c.next_bits(64) for _ in range(8)]
 
 
 def test_next_bits_range():
-    rng = make_stream(9, 9)
+    rng = RngStream(9, 9)
     for k in (1, 7, 33, 64):
         for _ in range(200):
             assert 0 <= rng.next_bits(k) < (1 << k)
@@ -74,8 +90,8 @@ def test_next_bits_range():
 
 
 def test_bits_array_matches_next_bits_loop():
-    a = make_stream(77, 3)
-    b = make_stream(77, 3)
+    a = RngStream(77, 3)
+    b = RngStream(77, 3)
     arr = a.bits_array(11, 10_000)
     loop = [b.next_bits(11) for _ in range(10_000)]
     assert [int(v) for v in arr] == loop
@@ -222,8 +238,8 @@ def test_sign_symmetry():
 def test_sr_sample_matches_single_draw_loop():
     cfg = sr_config(11, 5)
     x = 1.0 + 2.0 ** -13
-    a = make_stream(5, 1)
-    b = make_stream(5, 1)
+    a = RngStream(5, 1)
+    b = RngStream(5, 1)
     bulk = sr_sample(x, cfg, a, 5000)
     loop = [sr_round(x, cfg, b) for _ in range(5000)]
     assert [float(v) for v in bulk] == loop
@@ -231,7 +247,7 @@ def test_sr_sample_matches_single_draw_loop():
 
 def test_sr_sample_representable():
     cfg = sr_config(11, 5)
-    out = sr_sample(2.0, cfg, make_stream(1, 1), 16)
+    out = sr_sample(2.0, cfg, RngStream(1, 1), 16)
     assert (out == 2.0).all()
 
 
@@ -243,7 +259,7 @@ def test_sr_op_add_example():
     cfg = sr_config(11, IDEAL)
     k = q_r_numerator(1.0 + 2.0 ** -12, cfg)
     assert Fraction(k, 1 << cfg.r_bits) == Fraction(1, 4)
-    outs = {sr_op("add", 1.0, 2.0 ** -12, cfg, make_stream(0, i)) for i in range(64)}
+    outs = {sr_op("add", 1.0, 2.0 ** -12, cfg, RngStream(0, i)) for i in range(64)}
     assert outs <= {1.0, 1.0 + 2.0 ** -10}
 
 
@@ -260,7 +276,7 @@ def test_sr_op_exact_result_is_deterministic():
 
 def test_sr_op_validates_operands():
     cfg = sr_config(2, 3)
-    rng = make_stream(0, 0)
+    rng = RngStream(0, 0)
     with pytest.raises(ValueError):
         sr_op("add", 1.25, 1.0, cfg, rng)  # 1.25 not a p=2 value
     with pytest.raises(ValueError):
@@ -283,7 +299,7 @@ def test_trace_record_envelopes():
         p = (2, 8, 11, 24)[i % 4]
         r = (1, 3, 6, 9)[i % 4]
         cfg = sr_config(p, r)
-        y, rec = sr_round_traced(x, cfg, make_stream(1, i))
+        y, rec = sr_round_traced(x, cfg, RngStream(1, i))
         u_p = 2.0 ** (1 - p)
         u_pr = 2.0 ** (1 - p - r)
         assert rec.rounded == y
