@@ -147,7 +147,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
 
 def _n_grid(opts) -> tuple:
     """--n-grid, else 10, 20, 40, ... up to --n-max, else the default grid."""
-    if opts["n_grid"]:
+    if opts["n_grid"] is not None:
         return opts["n_grid"]
     n_max = opts["n_max"]
     if n_max is None:
@@ -171,6 +171,8 @@ def _check(command: str, opts):
     if command == "round":
         if opts["value"] is None:
             raise ValueError("--value is required")
+        if opts["samples"] < 0:
+            raise ValueError(f"--samples must be >= 0, got {opts['samples']}")
         return sr_config(opts["p"], opts["r"])
     if command == "suggest-r":
         if opts["n"] is None:

@@ -5,6 +5,9 @@ odd integer ``num`` (zero for zero).  All rounding-related quantities
 (floor/ceil on the precision-p grid, truncation to a given width, grid
 spacing, round-up probabilities) are recomputed here from integer shifts,
 deliberately sharing no code with the float-based primitives they check.
+The exact references :func:`exact_sum` and :func:`exact_dot` use integer
+accumulation: they add integer numerators at a common exponent and
+canonicalize once.
 """
 
 from __future__ import annotations
@@ -59,11 +62,17 @@ def _canonical(signed_num: int, exp2: int) -> DyadicValue:
     return DyadicValue(sign, n >> tz, exp2 + tz)
 
 
+def _ratio(x: float) -> tuple[int, int]:
+    """(n, e) with x = n * 2**e, from the float's exact integer ratio."""
+    try:
+        n, d = x.as_integer_ratio()  # d is a power of two for binary floats
+    except (OverflowError, ValueError):  # infinity or nan
+        raise ValueError(f"finite value required, got {x!r}") from None
+    return n, 1 - d.bit_length()
+
+
 def dy_from_float(x: float) -> DyadicValue:
-    if not math.isfinite(x):
-        raise ValueError(f"finite value required, got {x!r}")
-    n, d = x.as_integer_ratio()  # d is a power of two for binary floats
-    return _canonical(n, -(d.bit_length() - 1))
+    return _canonical(*_ratio(x))
 
 
 def dy_to_float(v: DyadicValue) -> float:
@@ -174,22 +183,30 @@ def dy_q(x: DyadicValue, p: int, r: int | float = math.inf) -> Fraction:
     return q_mag if x.sign > 0 else 1 - q_mag
 
 
+def _accumulate(terms) -> DyadicValue:
+    """Exact sum of ``n * 2**e`` over (n, e) pairs: one integer, kept at the
+    smallest exponent seen so far, canonicalized once at the end."""
+    total, low = 0, 0  # the sum so far is total * 2**low
+    for n, e in terms:
+        if e < low:
+            total <<= low - e
+            low = e
+        total += n << (e - low)
+    return _canonical(total, low)
+
+
 def exact_sum(values) -> DyadicValue:
     """Exact sum of a sequence of floats."""
-    acc = DY_ZERO
-    for v in values:
-        acc = dy_add(acc, dy_from_float(v))
-    return acc
+    return _accumulate(map(_ratio, values))
 
 
 def exact_dot(a, b) -> DyadicValue:
     """Exact inner product of two equal-length float sequences."""
     if len(a) != len(b):
         raise ValueError("length mismatch")
-    acc = DY_ZERO
-    for x, y in zip(a, b):
-        acc = dy_add(acc, dy_mul(dy_from_float(x), dy_from_float(y)))
-    return acc
+    return _accumulate(
+        (nx * ny, ex + ey) for (nx, ex), (ny, ey) in zip(map(_ratio, a), map(_ratio, b))
+    )
 
 
 def rel_error(value: float, exact: DyadicValue) -> float:

@@ -56,13 +56,17 @@ class ExperimentSpec:
         # leaves no random bit; a rounding run cannot use it.
         fmt = FpFormat(self.p)
         mode = MODE_RN if self.kind == "bounds-table" else MODE_SR
+        if not self.r_list:
+            raise ValueError("r_list must not be empty")
         for r in self.r_list:
             SrConfig(fmt, r, mode)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.n_grid:
+            raise ValueError("n_grid must not be empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
-        if self.n_grid and self.n_grid[0] < 1:
+        if self.n_grid[0] < 1:
             raise ValueError(f"n_grid sizes must be >= 1, got {self.n_grid[0]}")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")

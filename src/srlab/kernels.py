@@ -139,8 +139,8 @@ def gd_rosenbrock(
     """Gradient descent x <- x - t * grad(x) with per-coordinate rounding.
 
     The step product t*g stays in binary64 unless ``round_step_product``
-    asks for an extra rounding of it.  On overflow the trajectory is cut
-    short and flagged as diverged.
+    asks for an extra rounding of it.  When the gradient, an iterate or the
+    loss overflows, the trajectory is cut short and flagged as diverged.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -154,6 +154,9 @@ def gd_rosenbrock(
     diverged = False
     for k in range(iters):
         g1, g2 = rosenbrock_grad((x1, x2))
+        if not (math.isfinite(g1) and math.isfinite(g2)):
+            diverged = True
+            break
         try:
             g1 = round_nearest(g1, fmt)
             g2 = round_nearest(g2, fmt)
@@ -163,10 +166,10 @@ def gd_rosenbrock(
                 u2 = _round_step(u2, cfg, rng, None, k)
             x1 = _round_step(x1 - u1, cfg, rng, None, k)
             x2 = _round_step(x2 - u2, cfg, rng, None, k)
+            loss = rosenbrock_f((x1, x2))  # ** raises OverflowError, * gives inf
         except (SubstrateRangeError, OverflowError):
             diverged = True
             break
-        loss = rosenbrock_f((x1, x2))
         if not math.isfinite(loss):
             diverged = True
             break

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 SUBSTRATE_WIDTH = 53
 
-_TWO52 = float(1 << 52)
+_TWO53 = float(1 << 53)
 _DBL_MIN = math.ldexp(1.0, -1022)  # smallest normal binary64
 
 
@@ -62,7 +63,7 @@ def _check_finite(x: float) -> None:
 def _split(x: float) -> tuple[int, int]:
     """Return (M, e) with |x| = M * 2**(e-52) and M in [2**52, 2**53)."""
     m, e = math.frexp(abs(x))
-    return int(m * _TWO52 * 2.0), e - 1
+    return int(m * _TWO53), e - 1
 
 
 def _rebuild(negative: bool, sig: int, exp: int) -> float:
@@ -150,17 +151,22 @@ def truncate(x: float, width: int) -> float:
 
 def round_nearest(x: float, fmt: FpFormat) -> float:
     """Nearest precision-p value, ties to an even last significand bit."""
-    _check_finite(x)
-    if x == 0.0:
-        return x
-    M, e = _split(x)
+    # Hot path: _split/_rebuild inlined, one frexp and one ldexp per call.
+    m, e = frexp(x)
+    try:
+        M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        raise ValueError(f"finite value required, got {x!r}") from None
     s = SUBSTRATE_WIDTH - fmt.p
-    if s == 0:
+    if M & ((1 << s) - 1) == 0:  # zero, on the grid, or p = 53
         return x
-    sig, rem = M >> s, M & ((1 << s) - 1)
-    if rem == 0:
-        return x
-    half = 1 << (s - 1)
-    if rem > half or (rem == half and sig & 1):
-        sig += 1
-    return _rebuild(x < 0, sig, e - fmt.p + 1)
+    # adding half an ulp less one, plus the kept part's last bit, carries
+    # exactly when the remainder is above half or a tie onto an odd value
+    sig = (M + (1 << (s - 1)) - 1 + ((M >> s) & 1)) >> s
+    try:
+        y = ldexp(sig, e - fmt.p)
+    except OverflowError:
+        raise SubstrateRangeError("result overflows the binary64 substrate") from None
+    if y < _DBL_MIN:
+        raise SubstrateRangeError("result underflows to a binary64 subnormal")
+    return y if m > 0.0 else -y

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
 from .rounding import (
     SUBSTRATE_WIDTH,
+    _DBL_MIN,
+    _TWO53,
     FpFormat,
     SubstrateRangeError,
     _check_finite,
@@ -39,7 +42,9 @@ IDEAL = "ideal"
 MODE_SR = "sr"
 MODE_RN = "rn"
 
-_BLOCK = 4096
+# Philox words per refill.  next_bits serves them as a list of Python ints;
+# a small block keeps that list's memory small (the words do not depend on it).
+_BLOCK = 512
 _MASK64 = (1 << 64) - 1
 
 
@@ -56,20 +61,27 @@ class RngStream:
         key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._words = np.empty(0, dtype=np.uint64)
+        self._list: list[int] = []  # self._words as Python ints, made by next_bits
         self._pos = 0
 
     def _refill(self, n: int) -> None:
         self._words = self._bitgen.random_raw(max(n, _BLOCK))
+        self._list = []
         self._pos = 0
 
     def next_bits(self, k: int) -> int:
         """k independent uniform bits, 1 <= k <= 64, as an integer."""
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
-        if self._pos >= len(self._words):
-            self._refill(_BLOCK)
-        w = int(self._words[self._pos])
-        self._pos += 1
+        words, pos = self._list, self._pos
+        if pos >= len(words):
+            if pos >= len(self._words):
+                self._refill(_BLOCK)
+                pos = 0
+            # a block that bits_array left words in holds _BLOCK words at most
+            words = self._list = self._words.tolist()
+        self._pos = pos + 1
+        w = words[pos]
         return w & ((1 << k) - 1) if k < 64 else w
 
     def bits_array(self, k: int, size: int) -> np.ndarray:
@@ -173,16 +185,24 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     and the lower neighbor otherwise.  No randomness is consumed when x is
     already representable.
     """
-    _check_finite(x)
-    if x == 0.0:
-        return x
-    M, e = _split(x)
+    # Hot path: _split/_rebuild inlined, one frexp and one ldexp per call.
+    m, e = frexp(x)
+    try:
+        M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        raise ValueError(f"finite value required, got {x!r}") from None
     rem = M & cfg.mask_p
-    if rem == 0:
+    if rem == 0:  # zero or on the grid
         return x
-    k = rem >> cfg.shift_pr
-    sig = (M >> cfg.shift_p) + ((k + rng.next_bits(cfg.r_bits)) >> cfg.r_bits)
-    return _rebuild(x < 0, sig, e - cfg.fmt.p + 1)
+    r = cfg.r_bits
+    sig = (M >> cfg.shift_p) + (((rem >> cfg.shift_pr) + rng.next_bits(r)) >> r)
+    try:
+        y = ldexp(sig, e - cfg.fmt.p)
+    except OverflowError:
+        raise SubstrateRangeError("result overflows the binary64 substrate") from None
+    if y < _DBL_MIN:
+        raise SubstrateRangeError("result underflows to a binary64 subnormal")
+    return y if m > 0.0 else -y
 
 
 def sr_round_traced(x: float, cfg: SrConfig, rng: RngStream) -> tuple[float, RoundingRecord]:

@@ -83,6 +83,9 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["sum", "--p", "53", "--r", "ideal"],
         ["rosenbrock", "--p", "53", "--r", "ideal"],
         ["round", "--value", "1.0", "--p", "53", "--r", "ideal"],
+        ["sum", "--r", ",", "--n-grid", "10"],
+        ["sum", "--n-grid", ","],
+        ["round", "--value", "1.3", "--samples", "-4"],
     ],
     ids=" ".join,
 )
@@ -92,6 +95,18 @@ def test_bad_experiment_flags_exit_2(argv, tmp_path, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_rosenbrock_divergence_is_reported_not_raised(tmp_path, capsys):
+    # the sr3 trajectories from (0.5, 0.5) blow up within 50 iterations
+    code, _, _ = run_cli(
+        ["rosenbrock", "--p", "11", "--r", "3", "--iters", "50", "--t", "0.01",
+         "--trials", "2", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    last = (tmp_path / "rosenbrock_p11_r3_start0.5-0.5.csv").read_text().splitlines()[-1]
+    assert last == "50,sr3,nan,nan"
 
 
 def test_bounds_table_accepts_p53_ideal(tmp_path, capsys):

@@ -18,7 +18,7 @@ from srlab.dyadic import (
     rel_error,
 )
 
-from conftest import random_substrate_values
+from conftest import random_substrate_values, substrate_floats
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100
@@ -114,6 +114,33 @@ def test_exact_sum_and_dot():
     assert exact_dot(a, b).as_fraction() == Fraction(3) - Fraction(5, 2)
     with pytest.raises(ValueError):
         exact_dot([1.0], [1.0, 2.0])
+
+
+@given(st.lists(substrate_floats, max_size=12))
+@settings(max_examples=300)
+def test_exact_sum_equals_fraction_sum(vals):
+    assert exact_sum(vals).as_fraction() == sum(map(Fraction, vals), Fraction(0))
+
+
+@given(st.lists(st.tuples(substrate_floats, substrate_floats), max_size=12))
+@settings(max_examples=300)
+def test_exact_dot_equals_fraction_sum(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    want = sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(0))
+    assert exact_dot(a, b).as_fraction() == want
+
+
+def test_exact_references_edge_cases():
+    assert exact_sum([]) == DY_ZERO == exact_dot([], [])
+    assert exact_sum([0.0, -0.0]) == DY_ZERO
+    wide = [1e308, -5e-324, 0.0, -1e308, 3.0, 2.0 ** -1074]
+    assert exact_sum(wide) == dy_from_float(3.0)
+    assert exact_dot(wide, [1.0, 4.0, 7.0, 1.0, -1.0, 4.0]) == dy_from_float(-3.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            exact_sum([1.0, bad])
+        with pytest.raises(ValueError):
+            exact_dot([1.0, 2.0], [bad, 1.0])
 
 
 def test_rel_error():

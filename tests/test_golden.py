@@ -1,8 +1,9 @@
 """Byte-identity gate: sha256 of the CSVs that small CLI runs write.
 
 The digests were recorded before the sum/dot driver and the option handling
-were refactored; a change that alters any byte a run writes for the same
-flags and seed fails here.  When output bytes change on purpose, record the
+were refactored, and ``sum-refill`` before the scalar rounding core and the
+list-served random words were; a change that alters any byte a run writes
+for the same flags and seed fails here.  When output bytes change on purpose, record the
 new digests with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
 
@@ -34,6 +35,10 @@ CASES = {
     "rosenbrock": ["rosenbrock", "--p", "11", "--r", "3,8", "--iters", "40",
                    "--trials", "3", "--seed", "2"],
     "bounds-table": ["bounds-table"],
+    # each trial stream mixes bulk input draws with single draws that start
+    # and end in partial Philox blocks and refill in the middle of a chain
+    "sum-refill": ["sum", "--p", "11", "--r", "3,ideal", "--n-grid", "100,3000",
+                   "--trials", "2"],
 }
 
 GOLDEN = {
@@ -52,6 +57,9 @@ GOLDEN = {
     },
     "bounds-table": {
         "bounds-table_p11_r3-6-7-8-10.csv": "09bb5d5b7e757a1648acdbf59b49264645942a53a7cc0fb2b3f1bc3163259581",
+    },
+    "sum-refill": {
+        "sum_p11_r3-ideal.csv": "1247985f2e0f91b2cd769b5f9a64c1502841d3faef14bfd21a83299096d14faa",
     },
 }
 

@@ -168,6 +168,21 @@ def test_gd_divergence_flag():
     assert len(traj.iterates) < 11
 
 
+def test_gd_loss_overflow_is_divergence():
+    # (1 - x1) ** 2 raises OverflowError instead of returning inf
+    traj = gd_rosenbrock((0.5, 0.5), 0.01, 200, sr_config(11, 3), RngStream(1, 0))
+    assert traj.diverged
+    assert len(traj.loss_series) == len(traj.iterates) < 201
+    assert all(math.isfinite(loss) for loss in traj.loss_series)
+
+
+def test_gd_non_finite_gradient_is_divergence():
+    # the loss at this start is already inf, and so is its gradient
+    traj = gd_rosenbrock((1e120, 0.0), 0.001, 10, rn_config(11), RngStream(0, 0))
+    assert traj.diverged
+    assert traj.loss_series == [math.inf]
+
+
 def test_gd_rejects_bad_args():
     with pytest.raises(ValueError):
         gd_rosenbrock((0.0, 0.0), -1.0, 5, rn_config(11), RngStream(0, 0))

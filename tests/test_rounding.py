@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srlab.dyadic import (
@@ -25,7 +26,7 @@ from srlab.rounding import (
     ulp,
 )
 
-from conftest import random_substrate_values
+from conftest import random_substrate_values, substrate_floats
 
 P2 = FpFormat(2)
 P4 = FpFormat(4)
@@ -162,6 +163,34 @@ def test_round_nearest_error_bound(x, p):
     u = fmt.unit_roundoff
     assert abs(y - x) <= abs(x) * (u / (2.0 + u)) * (1 + 1e-15)
     assert y in (round_down(x, fmt), round_up(x, fmt))
+
+
+@given(substrate_floats, st.integers(min_value=2, max_value=53))
+@example(sys.float_info.max, 2)  # rounds up to 2**1024
+@example(-sys.float_info.max, 11)
+@example(-0.0, 11)
+@example(5e-324, 2)  # substrate subnormal, on the grid
+@example(math.ldexp(3.0, -1024), 2)  # substrate subnormal tie
+@example(math.ldexp(2.0 ** 52 - 1, -1074), 11)  # rounds up to 2**-1022
+@settings(max_examples=1000)
+def test_round_nearest_matches_dyadic_oracle(x, p):
+    fmt = FpFormat(p)
+    v = dy_from_float(x)
+    want = dy_round_nearest(v, p)
+    if want == v:  # zero or on the grid: x itself, signed zero kept
+        y = round_nearest(x, fmt)
+        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+    elif -1022 <= want.exponent <= 1023:
+        assert round_nearest(x, fmt) == dy_to_float(want)
+    else:
+        with pytest.raises(SubstrateRangeError):
+            round_nearest(x, fmt)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_round_nearest_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        round_nearest(x, P11)
 
 
 def test_oracle_equivalence_bulk():

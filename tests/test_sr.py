@@ -1,9 +1,22 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from srlab.dyadic import dy_from_float, dy_q
-from srlab.rounding import FpFormat, _check_finite, _split, round_down, round_up, truncate, ulp
+from srlab.dyadic import dy_ceil, dy_floor, dy_from_float, dy_q, dy_to_float
+from srlab.rounding import (
+    FpFormat,
+    SubstrateRangeError,
+    _check_finite,
+    _split,
+    round_down,
+    round_up,
+    truncate,
+    ulp,
+)
 from srlab.sr import (
     IDEAL,
     RngStream,
@@ -19,7 +32,7 @@ from srlab.sr import (
     sr_sample,
 )
 
-from conftest import random_substrate_values
+from conftest import random_substrate_values, substrate_floats
 
 GOLDEN_FIRST_WORD = 0x02F4BA6408E4D89B  # first 64 bits of stream (0, 0), frozen
 
@@ -99,6 +112,28 @@ def test_bits_array_matches_next_bits_loop():
     assert a.next_bits(11) == b.next_bits(11)
 
 
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(1, 64), st.integers(0, 5000)),
+        max_size=8,
+    )
+)
+# single and bulk draws each finish a block the other left partly read
+@example([(True, 64, 3000), (False, 64, 2000), (True, 64, 9000), (False, 64, 5000)])
+@settings(max_examples=60, deadline=None)
+def test_interleaved_draws_match_next_bits_loop(calls):
+    # bits_array and next_bits share one block and one position, so any mix
+    # of them, across refills of any size, reads the words of a plain loop
+    a, b = RngStream(21, 4), RngStream(21, 4)
+    for bulk, k, size in calls:
+        if bulk:
+            got = [int(v) for v in a.bits_array(k, size)]
+        else:
+            got = [a.next_bits(k) for _ in range(size)]
+        assert got == [b.next_bits(k) for _ in range(size)]
+    assert a.next_bits(64) == b.next_bits(64)
+
+
 # ---------------------------------------------------------------- SrConfig
 
 
@@ -145,6 +180,45 @@ def test_representable_is_deterministic_and_draws_nothing():
     assert sr_round(1.5, cfg, rng) == 1.5
     assert sr_round(-2.0, cfg, rng) == -2.0
     assert sr_round(0.0, cfg, rng) == 0.0
+
+
+@given(substrate_floats, st.integers(2, 52), st.integers(0, 51), st.integers(0, (1 << 51) - 1))
+@example(sys.float_info.max, 2, 0, 1)  # rounds up to 2**1024
+@example(-sys.float_info.max, 11, 41, (1 << 42) - 1)  # rounds down to -2**1024
+@example(-0.0, 11, 3, 0)
+@example(5e-324, 2, 0, 1)  # substrate subnormal, on the grid
+@example(math.ldexp(3.0, -1024), 2, 0, 1)  # substrate subnormal, off the grid
+@example(math.ldexp(2.0 ** 52 - 1, -1074), 11, 41, (1 << 42) - 1)  # carries to 2**-1022
+@settings(max_examples=1000)
+def test_sr_round_matches_dyadic_oracle(x, p, r, z):
+    cfg = sr_config(p, 1 + r % (53 - p))
+    z %= 1 << cfg.r_bits
+    rng = FixedStream([z])
+    v = dy_from_float(x)
+    lo, hi = dy_floor(v, p), dy_ceil(v, p)
+    if lo == hi:  # zero or on the grid: x itself, signed zero kept, no draw
+        y = sr_round(x, cfg, rng)
+        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+        assert rng.i == 0
+        return
+    # k of the 2**r draws round up: the top k for x > 0, the bottom k for x < 0
+    k = dy_q(v, p, cfg.r_bits) * (1 << cfg.r_bits)
+    up = z >= (1 << cfg.r_bits) - k if x > 0 else z < k
+    want = hi if up else lo
+    if -1022 <= want.exponent <= 1023:
+        assert sr_round(x, cfg, rng) == dy_to_float(want)
+    else:
+        with pytest.raises(SubstrateRangeError):
+            sr_round(x, cfg, rng)
+    assert rng.i == 1
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_sr_round_rejects_non_finite(x):
+    rng = FixedStream([])
+    with pytest.raises(ValueError):
+        sr_round(x, sr_config(11, 3), rng)
+    assert rng.i == 0
 
 
 def test_enumeration_example():
