@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
-from .rounding import FpFormat, round_nearest
+from .rounding import FpFormat, round_nearest, round_nearest_array
 from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config, sr_sample
 
 _INV_2_53 = 2.0 ** -53
@@ -94,7 +94,7 @@ class SummaryRow:
 
 def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:
     words = rng.bits_array(53, n)
-    return [round_nearest(float(w) * _INV_2_53, fmt) for w in words]
+    return round_nearest_array(words * _INV_2_53, fmt).tolist()
 
 
 def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float]]:
@@ -217,20 +217,26 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
         return out
 
     for cfg in (rn_config(53), rn_config(spec.p)):
-        series = losses_of(cfg, 0)
-        rows.extend(
-            SummaryRow(k, cfg.label, float(series[k]), 0.0) for k in range(npoints)
-        )
+        series = losses_of(cfg, 0).tolist()
+        rows.extend(SummaryRow(k, cfg.label, v, 0.0) for k, v in enumerate(series))
 
     for cfg in (sr_config(spec.p, r) for r in spec.r_list):
         stacked = np.vstack([losses_of(cfg, trial) for trial in range(spec.trials)])
-        mean = stacked.mean(axis=0)
+        # Scale each iterate's column to a largest finite magnitude below 1,
+        # so that neither the sum in mean nor the squares in std overflow;
+        # scaling by a power of two is exact, so other results keep their bits.
+        mags = np.abs(stacked)
+        mags[~np.isfinite(mags)] = 0.0
+        shift = np.frexp(mags.max(axis=0))[1]
+        np.ldexp(stacked, -shift, out=stacked)
+        mean = np.ldexp(stacked.mean(axis=0), shift)
         if spec.trials > 1:
-            se = stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials)
+            se = np.ldexp(stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials), shift)
         else:
             se = np.zeros(npoints)
         rows.extend(
-            SummaryRow(k, cfg.label, float(mean[k]), float(se[k])) for k in range(npoints)
+            SummaryRow(k, cfg.label, m, e)
+            for k, (m, e) in enumerate(zip(mean.tolist(), se.tolist()))
         )
     return rows
 

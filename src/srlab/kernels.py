@@ -47,19 +47,37 @@ def _check_inputs(label: str, values, cfg: SrConfig) -> None:
             )
 
 
-def _round_step(c: float, cfg: SrConfig, rng: RngStream, records, index: int) -> float:
-    if not math.isfinite(c):
-        raise SubstrateRangeError(f"partial result left the substrate range (at step index {index})")
-    try:
-        if cfg.mode == MODE_SR:
-            if records is None:
-                return sr_round(c, cfg, rng)
-            y, rec = sr_round_traced(c, cfg, rng)
-            records.append(rec)
-            return y
-        return round_nearest(c, cfg.fmt)
-    except SubstrateRangeError as exc:
-        raise SubstrateRangeError(f"{exc} (at step index {index})") from exc
+def _round_step(c: float, cfg: SrConfig, rng: RngStream) -> float:
+    return round_nearest(c, cfg.fmt)
+
+
+def _stepper(cfg: SrConfig, records: list[RoundingRecord] | None):
+    """The per-step rounding ``f(c, cfg, rng)`` of one kernel run.
+
+    ``sr_round`` is read from the module globals on each call here, and
+    ``_round_step`` reads ``round_nearest`` on each step, so rebinding
+    either name reaches the kernels.
+    """
+    if cfg.mode != MODE_SR:
+        return _round_step
+    if records is None:
+        return sr_round
+
+    def traced(c: float, cfg: SrConfig, rng: RngStream) -> float:
+        y, rec = sr_round_traced(c, cfg, rng)
+        records.append(rec)
+        return y
+
+    return traced
+
+
+def _at_step(exc: Exception, index: int) -> SubstrateRangeError:
+    # the roundings raise ValueError for a non-finite input
+    if isinstance(exc, SubstrateRangeError):
+        return SubstrateRangeError(f"{exc} (at step index {index})")
+    return SubstrateRangeError(
+        f"partial result left the substrate range (at step index {index})"
+    )
 
 
 def recursive_sum(
@@ -76,14 +94,17 @@ def recursive_sum(
     if validate:
         _check_inputs("a", a, cfg)
     records: list[RoundingRecord] | None = [] if trace else None
+    step = _stepper(cfg, records)
     s = a[0]
-    count = 0
-    for k in range(1, len(a)):
-        s = _round_step(s + a[k], cfg, rng, records, k)
-        count += 1
+    k = 0
+    try:
+        for k in range(1, len(a)):
+            s = step(s + a[k], cfg, rng)
+    except (SubstrateRangeError, ValueError) as exc:
+        raise _at_step(exc, k) from exc
     if exact is None:
         exact = exact_sum(a)
-    return KernelResult(s, exact, rel_error(s, exact), count, records)
+    return KernelResult(s, exact, rel_error(s, exact), len(a) - 1, records)
 
 
 def inner_product(
@@ -104,15 +125,17 @@ def inner_product(
         _check_inputs("a", a, cfg)
         _check_inputs("b", b, cfg)
     records: list[RoundingRecord] | None = [] if trace else None
-    s = _round_step(a[0] * b[0], cfg, rng, records, 0)
-    count = 1
-    for k in range(1, len(a)):
-        prod = _round_step(a[k] * b[k], cfg, rng, records, k)
-        s = _round_step(s + prod, cfg, rng, records, k)
-        count += 2
+    step = _stepper(cfg, records)
+    k = 0
+    try:
+        s = step(a[0] * b[0], cfg, rng)
+        for k in range(1, len(a)):
+            s = step(s + step(a[k] * b[k], cfg, rng), cfg, rng)
+    except (SubstrateRangeError, ValueError) as exc:
+        raise _at_step(exc, k) from exc
     if exact is None:
         exact = exact_dot(a, b)
-    return KernelResult(s, exact, rel_error(s, exact), count, records)
+    return KernelResult(s, exact, rel_error(s, exact), 2 * len(a) - 1, records)
 
 
 def rosenbrock_f(x: tuple[float, float]) -> float:
@@ -134,45 +157,41 @@ def gd_rosenbrock(
     iters: int,
     cfg: SrConfig,
     rng: RngStream,
-    round_step_product: bool = False,
 ) -> GdTrajectory:
     """Gradient descent x <- x - t * grad(x) with per-coordinate rounding.
 
-    The step product t*g stays in binary64 unless ``round_step_product``
-    asks for an extra rounding of it.  When the gradient, an iterate or the
-    loss overflows, the trajectory is cut short and flagged as diverged.
+    The step product t*g stays in binary64.  When the gradient, an iterate
+    or the loss overflows, the trajectory is cut short and flagged as
+    diverged; a start whose loss overflows leaves no iterate and no loss.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
     if t <= 0.0:
         raise ValueError("step size must be positive")
     fmt = cfg.fmt
+    step = _stepper(cfg, None)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
-    iterates = [(x1, x2)]
-    losses = [rosenbrock_f((x1, x2))]
+    iterates: list[tuple[float, float]] = []
+    losses: list[float] = []
     diverged = False
-    for k in range(iters):
-        g1, g2 = rosenbrock_grad((x1, x2))
-        if not (math.isfinite(g1) and math.isfinite(g2)):
-            diverged = True
-            break
-        try:
-            g1 = round_nearest(g1, fmt)
-            g2 = round_nearest(g2, fmt)
-            u1, u2 = t * g1, t * g2
-            if round_step_product:
-                u1 = _round_step(u1, cfg, rng, None, k)
-                u2 = _round_step(u2, cfg, rng, None, k)
-            x1 = _round_step(x1 - u1, cfg, rng, None, k)
-            x2 = _round_step(x2 - u2, cfg, rng, None, k)
-            loss = rosenbrock_f((x1, x2))  # ** raises OverflowError, * gives inf
-        except (SubstrateRangeError, OverflowError):
-            diverged = True
-            break
-        if not math.isfinite(loss):
-            diverged = True
-            break
+    try:
+        loss = rosenbrock_f((x1, x2))  # ** raises OverflowError, * gives inf
         iterates.append((x1, x2))
         losses.append(loss)
+        for _ in range(iters):
+            # round_nearest raises ValueError on a non-finite gradient
+            g1, g2 = rosenbrock_grad((x1, x2))
+            g1 = round_nearest(g1, fmt)
+            g2 = round_nearest(g2, fmt)
+            x1 = step(x1 - t * g1, cfg, rng)
+            x2 = step(x2 - t * g2, cfg, rng)
+            loss = rosenbrock_f((x1, x2))
+            if not math.isfinite(loss):
+                diverged = True
+                break
+            iterates.append((x1, x2))
+            losses.append(loss)
+    except (SubstrateRangeError, ValueError, OverflowError):
+        diverged = True
     return GdTrajectory(iterates, losses, cfg.label, diverged)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from math import frexp, ldexp
 
+import numpy as np
+
 SUBSTRATE_WIDTH = 53
 
 _TWO53 = float(1 << 53)
@@ -170,3 +172,34 @@ def round_nearest(x: float, fmt: FpFormat) -> float:
     if y < _DBL_MIN:
         raise SubstrateRangeError("result underflows to a binary64 subnormal")
     return y if m > 0.0 else -y
+
+
+_EXP_FIELD = np.uint64(0x7FF)  # the binary64 exponent field, after a shift by 52
+
+
+def round_nearest_array(x, fmt: FpFormat) -> np.ndarray:
+    """``round_nearest`` of every element of a 1-d float64 array, as an array.
+
+    Normal inputs round on the bit pattern, as in the ``chop`` emulator of
+    Higham and Pranesh (SIAM J. Sci. Comput., 2019): adding half an ulp less
+    one, plus the kept part's last bit, to the binary64 word and clearing
+    the 53-p dropped bits carries into the exponent field exactly when the
+    significand does.  Zero, subnormal and non-finite inputs, and results
+    that reach the infinity pattern, are rounded by ``round_nearest``, so
+    values and exceptions are those of the scalar loop.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    s = SUBSTRATE_WIDTH - fmt.p
+    bits = x.view(np.uint64)
+    if s:
+        lsb = (bits >> np.uint64(s)) & np.uint64(1)
+        out = (bits + np.uint64((1 << (s - 1)) - 1) + lsb) & ~np.uint64((1 << s) - 1)
+    else:
+        out = bits.copy()
+    e_in = (bits >> np.uint64(52)) & _EXP_FIELD
+    e_out = (out >> np.uint64(52)) & _EXP_FIELD
+    scalar = (e_in == 0) | (e_in == _EXP_FIELD) | (e_out == _EXP_FIELD)
+    out = out.view(np.float64)
+    for i in np.flatnonzero(scalar):
+        out[i] = round_nearest(float(x[i]), fmt)
+    return out

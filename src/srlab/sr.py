@@ -73,16 +73,18 @@ class RngStream:
         """k independent uniform bits, 1 <= k <= 64, as an integer."""
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
-        words, pos = self._list, self._pos
-        if pos >= len(words):
+        pos = self._pos
+        try:
+            w = self._list[pos]
+        except IndexError:  # list view not made yet, or the block is used up
             if pos >= len(self._words):
                 self._refill(_BLOCK)
                 pos = 0
             # a block that bits_array left words in holds _BLOCK words at most
-            words = self._list = self._words.tolist()
+            self._list = self._words.tolist()
+            w = self._list[pos]
         self._pos = pos + 1
-        w = words[pos]
-        return w & ((1 << k) - 1) if k < 64 else w
+        return w & ((1 << k) - 1)
 
     def bits_array(self, k: int, size: int) -> np.ndarray:
         """``size`` draws of ``next_bits(k)`` as a uint64 array."""

@@ -109,6 +109,18 @@ def test_rosenbrock_divergence_is_reported_not_raised(tmp_path, capsys):
     assert last == "50,sr3,nan,nan"
 
 
+def test_rosenbrock_start_overflow_is_reported_not_raised(tmp_path, capsys):
+    code, _, _ = run_cli(
+        ["rosenbrock", "--start", "1e200,0", "--iters", "3", "--trials", "2",
+         "--r", "3", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / "rosenbrock_p11_r3_start1e+200-0.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 4
+    assert all(line.split(",")[2] == "nan" for line in lines[1:])
+
+
 def test_bounds_table_accepts_p53_ideal(tmp_path, capsys):
     code, _, _ = run_cli(
         ["bounds-table", "--p", "53", "--r", "ideal", "--n-grid", "10",

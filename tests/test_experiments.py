@@ -6,9 +6,11 @@ import pytest
 
 from srlab.bounds import unit_roundoff
 from srlab.experiments import (
+    _INV_2_53,
     ExperimentSpec,
     SummaryRow,
     aggregate_trials,
+    _draw_uniform_p,
     csv_name,
     estimate_bias,
     estimate_coverage,
@@ -19,7 +21,9 @@ from srlab.experiments import (
     run_trials,
     write_rows,
 )
-from srlab.sr import IDEAL, RngStream
+from srlab.rounding import FpFormat, round_nearest
+from srlab.kernels import gd_rosenbrock
+from srlab.sr import IDEAL, RngStream, sr_config
 
 TINY_SUM = ExperimentSpec(
     kind="sum", p=11, r_list=(3, 7), n_grid=(10, 30), trials=6, seed=42
@@ -187,3 +191,65 @@ def test_input_file_dot(tmp_path):
     )
     trials = run_trials(spec)
     assert {t.x for t in trials} == {2}
+
+
+class _WordStream:
+    """Serves fixed 53-bit words to ``bits_array`` and counts them."""
+
+    def __init__(self, words):
+        self.words = words
+        self.drawn = 0
+
+    def bits_array(self, k, size):
+        assert k == 53
+        out = np.array(self.words[self.drawn:self.drawn + size], dtype=np.uint64)
+        self.drawn += size
+        return out
+
+
+@pytest.mark.parametrize("p", [2, 11, 24, 53])
+def test_draw_uniform_p_matches_scalar_rounding(p):
+    top = (1 << 53) - 1
+    words = [0, 1, 2, top, top - 1] + np.random.default_rng(p).integers(
+        0, top, size=200, endpoint=True
+    ).tolist()
+    fmt = FpFormat(p)
+    rng = _WordStream(words + [7])
+    got = _draw_uniform_p(rng, len(words), fmt)
+    assert rng.drawn == len(words)
+    want = [round_nearest(float(w) * _INV_2_53, fmt) for w in words]
+    assert [type(v) for v in got] == [float] * len(words)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    # the same words from a real stream, with the position left after n words
+    a, b = RngStream(5, 1), RngStream(5, 1)
+    got = _draw_uniform_p(a, 300, fmt)
+    want = [round_nearest(float(w) * _INV_2_53, fmt) for w in b.bits_array(53, 300)]
+    assert got == want
+    assert a.next_bits(64) == b.next_bits(64)
+
+
+def test_rosenbrock_aggregation_of_huge_losses_is_finite():
+    # the sr3 trajectories from (0.5, 0.5) reach losses near 1e245 before
+    # diverging; squaring their deviations must not overflow to an inf spread
+    spec = ExperimentSpec(
+        kind="rosenbrock", p=11, r_list=(3,), iters=50, step=0.01, trials=2, seed=1
+    )
+    rows = [r for r in run_rosenbrock(spec, (0.5, 0.5)) if r.mode == "sr3"]
+    big = [r for r in rows if math.isfinite(r.value) and r.value > 1e200]
+    assert big
+    for row in big:
+        a, b = (
+            gd_rosenbrock((0.5, 0.5), 0.01, 50, sr_config(11, 3), RngStream(1, t))
+            .loss_series[row.x]
+            for t in range(2)
+        )
+        # two trials: mean (a+b)/2 and standard error |a-b|/2
+        assert row.value == a / 2 + b / 2
+        assert row.stderr == pytest.approx(abs(a - b) / 2, rel=1e-15)
+
+
+def test_rosenbrock_start_overflow_rows_are_nan():
+    spec = ExperimentSpec(kind="rosenbrock", p=11, r_list=(3,), iters=3, trials=2)
+    rows = run_rosenbrock(spec, (1e200, 0.0))
+    assert len(rows) == 4 * 3
+    assert all(math.isnan(r.value) for r in rows)

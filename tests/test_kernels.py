@@ -183,6 +183,15 @@ def test_gd_non_finite_gradient_is_divergence():
     assert traj.loss_series == [math.inf]
 
 
+def test_gd_start_loss_overflow_is_divergence():
+    # (1 - 1e200) ** 2 raises OverflowError at the start point itself
+    for cfg in (sr_config(11, 3), rn_config(11), rn_config(53)):
+        traj = gd_rosenbrock((1e200, 0.0), 0.001, 3, cfg, RngStream(0, 0))
+        assert traj.diverged
+        assert traj.iterates == []
+        assert traj.loss_series == []
+
+
 def test_gd_rejects_bad_args():
     with pytest.raises(ValueError):
         gd_rosenbrock((0.0, 0.0), -1.0, 5, rn_config(11), RngStream(0, 0))
@@ -207,3 +216,48 @@ def test_precomputed_exact_is_honored():
     res = recursive_sum(vec, rn_config(11), RngStream(0, 0), exact=fake)
     assert res.exact == fake
     assert res.rel_error == 0.25
+
+
+# ------------------------------------------------------------ error contract
+
+
+def test_sum_sr_overflow_reports_index():
+    # at p=2 the sum 1.75 * 2**1023 lies halfway up to 2**1024; draw 1 carries
+    vec = [1.5 * 2.0 ** 1023, 2.0 ** 1021]
+    with pytest.raises(SubstrateRangeError) as exc:
+        recursive_sum(vec, sr_config(2, 1), FixedStream([1]))
+    assert str(exc.value) == "result overflows the binary64 substrate (at step index 1)"
+
+
+@pytest.mark.parametrize("cfg", [rn_config(11), sr_config(11, 3)], ids=["rn", "sr3"])
+def test_sum_non_finite_partial_reports_index(cfg):
+    with pytest.raises(SubstrateRangeError) as exc:
+        recursive_sum([1.7e308, 1.7e308], cfg, FixedStream([]), validate=False)
+    assert str(exc.value) == "partial result left the substrate range (at step index 1)"
+
+
+@pytest.mark.parametrize("cfg", [rn_config(11), sr_config(11, 3)], ids=["rn", "sr3"])
+@pytest.mark.parametrize("index", [0, 2])
+def test_dot_non_finite_product_reports_index(cfg, index):
+    a = [1.0, 1.0, 1.0]
+    b = [1.0, 1.0, 1.0]
+    a[index] = b[index] = 2.0 ** 600
+    with pytest.raises(SubstrateRangeError) as exc:
+        inner_product(a, b, cfg, FixedStream([]))
+    assert str(exc.value) == (
+        f"partial result left the substrate range (at step index {index})"
+    )
+
+
+def test_trace_records_every_sr_rounding_and_no_rn_rounding():
+    # partial sums 2 and 3 are on the p=11 grid: recorded, but nothing drawn
+    vec = [1.0, 1.0, 1.0, 2.0 ** -12, 1.0]
+    res = recursive_sum(vec, sr_config(11, 3), RngStream(4, 0), trace=True)
+    assert len(res.records) == res.op_count == 4
+    assert [r.delta for r in res.records[:2]] == [0.0, 0.0]
+    res = inner_product(vec, vec, sr_config(11, 3), RngStream(4, 0), trace=True)
+    assert len(res.records) == res.op_count == 9
+    assert recursive_sum(vec, rn_config(11), RngStream(4, 0), trace=True).records == []
+    assert inner_product(vec, vec, rn_config(11), RngStream(4, 0), trace=True).records == []
+    assert recursive_sum(vec, sr_config(11, 3), RngStream(4, 0)).records is None
+

@@ -21,6 +21,7 @@ from srlab.rounding import (
     is_representable,
     round_down,
     round_nearest,
+    round_nearest_array,
     round_up,
     truncate,
     ulp,
@@ -191,6 +192,39 @@ def test_round_nearest_matches_dyadic_oracle(x, p):
 def test_round_nearest_rejects_non_finite(x):
     with pytest.raises(ValueError):
         round_nearest(x, P11)
+
+
+
+def _scalar_loop(xs, fmt):
+    try:
+        return [round_nearest(x, fmt) for x in xs]
+    except (ValueError, SubstrateRangeError) as exc:
+        return exc
+
+
+@given(
+    st.lists(
+        st.one_of(substrate_floats, st.sampled_from((math.inf, -math.inf, math.nan))),
+        max_size=12,
+    ),
+    st.integers(min_value=2, max_value=53),
+)
+@example([1.0, 1.375, 1.25, 2.25, -1.75, 0.0, -0.0], 2)  # ties to even, signed zero
+@example([1.0, sys.float_info.max], 2)  # carries to 2**1024
+@example([5e-324, math.ldexp(3.0, -1024)], 2)  # subnormals: on the grid, a tie
+@example([math.ldexp(2.0 ** 52 - 1, -1074)], 11)  # subnormal rounding up to 2**-1022
+@example([1.5, math.nan, math.inf], 53)
+@settings(max_examples=500)
+def test_round_nearest_array_matches_scalar_loop(xs, p):
+    fmt = FpFormat(p)
+    want = _scalar_loop(xs, fmt)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as exc:
+            round_nearest_array(xs, fmt)
+        assert str(exc.value) == str(want)
+    else:
+        got = round_nearest_array(xs, fmt).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_oracle_equivalence_bulk():

@@ -102,6 +102,20 @@ def test_next_bits_range():
         rng.next_bits(65)
 
 
+@pytest.mark.parametrize("k", [0, 65, -1])
+def test_next_bits_bad_k_leaves_stream_unchanged(k):
+    rng = RngStream(0, 0)
+    with pytest.raises(ValueError):
+        rng.next_bits(k)
+    assert rng.next_bits(64) == RngStream(0, 0).next_bits(64)
+    # also after a draw, when the block is already served
+    with pytest.raises(ValueError):
+        rng.next_bits(k)
+    fresh = RngStream(0, 0)
+    fresh.next_bits(64)
+    assert rng.next_bits(64) == fresh.next_bits(64)
+
+
 def test_bits_array_matches_next_bits_loop():
     a = RngStream(77, 3)
     b = RngStream(77, 3)
