@@ -12,7 +12,9 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +86,7 @@ class TrialResult:
     trial: int
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     x: int
     mode: str
     value: float
@@ -218,7 +219,7 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
 
     for cfg in (rn_config(53), rn_config(spec.p)):
         series = losses_of(cfg, 0).tolist()
-        rows.extend(SummaryRow(k, cfg.label, v, 0.0) for k, v in enumerate(series))
+        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), series, repeat(0.0)))
 
     for cfg in (sr_config(spec.p, r) for r in spec.r_list):
         stacked = np.vstack([losses_of(cfg, trial) for trial in range(spec.trials)])
@@ -235,8 +236,7 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
         else:
             se = np.zeros(npoints)
         rows.extend(
-            SummaryRow(k, cfg.label, m, e)
-            for k, (m, e) in enumerate(zip(mean.tolist(), se.tolist()))
+            map(SummaryRow, range(npoints), repeat(cfg.label), mean.tolist(), se.tolist())
         )
     return rows
 
@@ -278,8 +278,8 @@ def write_rows(path: str | Path, rows: list[SummaryRow]) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("n_or_k,mode,value,stderr\n")
-            for row in rows:
-                fh.write(f"{row.x},{row.mode},{row.value:.17g},{row.stderr:.17g}\n")
+            # %.17g renders every float as format(v, ".17g") does
+            fh.writelines(map("%d,%s,%.17g,%.17g\n".__mod__, rows))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -162,7 +162,8 @@ def gd_rosenbrock(
 
     The step product t*g stays in binary64.  When the gradient, an iterate
     or the loss overflows, the trajectory is cut short and flagged as
-    diverged; a start whose loss overflows leaves no iterate and no loss.
+    diverged; a start whose loss overflows, to an OverflowError or to inf,
+    leaves no iterate and no loss.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -176,10 +177,14 @@ def gd_rosenbrock(
     losses: list[float] = []
     diverged = False
     try:
-        loss = rosenbrock_f((x1, x2))  # ** raises OverflowError, * gives inf
-        iterates.append((x1, x2))
-        losses.append(loss)
+        # ** raises OverflowError, * gives inf; either is a divergence,
+        # at the start point as at any later iterate
+        loss = rosenbrock_f((x1, x2))
         for _ in range(iters):
+            if not math.isfinite(loss):
+                break
+            iterates.append((x1, x2))
+            losses.append(loss)
             # round_nearest raises ValueError on a non-finite gradient
             g1, g2 = rosenbrock_grad((x1, x2))
             g1 = round_nearest(g1, fmt)
@@ -187,11 +192,11 @@ def gd_rosenbrock(
             x1 = step(x1 - t * g1, cfg, rng)
             x2 = step(x2 - t * g2, cfg, rng)
             loss = rosenbrock_f((x1, x2))
-            if not math.isfinite(loss):
-                diverged = True
-                break
+        if math.isfinite(loss):
             iterates.append((x1, x2))
             losses.append(loss)
+        else:
+            diverged = True
     except (SubstrateRangeError, ValueError, OverflowError):
         diverged = True
     return GdTrajectory(iterates, losses, cfg.label, diverged)

@@ -21,6 +21,9 @@ SUBSTRATE_WIDTH = 53
 
 _TWO53 = float(1 << 53)
 _DBL_MIN = math.ldexp(1.0, -1022)  # smallest normal binary64
+# round_nearest splits |x| in (_SPLIT_MIN, _SPLIT_MAX) with float operations
+_SPLIT_MIN = math.ldexp(1.0, -960)
+_SPLIT_MAX = math.ldexp(1.0, 960)
 
 
 class SubstrateRangeError(ArithmeticError):
@@ -36,6 +39,8 @@ class FpFormat:
     def __post_init__(self):
         if not 2 <= self.p <= SUBSTRATE_WIDTH:
             raise ValueError(f"p must be in [2, {SUBSTRATE_WIDTH}], got {self.p}")
+        # cached Veltkamp splitting constant for round_nearest
+        object.__setattr__(self, "split", float(2 ** (SUBSTRATE_WIDTH - self.p) + 1))
 
     @property
     def unit_roundoff(self) -> float:
@@ -152,8 +157,20 @@ def truncate(x: float, width: int) -> float:
 
 
 def round_nearest(x: float, fmt: FpFormat) -> float:
-    """Nearest precision-p value, ties to an even last significand bit."""
-    # Hot path: _split/_rebuild inlined, one frexp and one ldexp per call.
+    """Nearest precision-p value, ties to an even last significand bit.
+
+    When ``2**-960 < |x| < 2**960`` the result is Veltkamp's splitting
+    (Dekker, Numer. Math. 1971): with ``c = x * (2**(53-p) + 1)``,
+    ``c - (c - x)`` is x rounded to nearest at p bits, ties to even, in
+    three binary64 operations.  The guard keeps every intermediate and the
+    result normal and finite.  Zero, non-finite values and magnitudes
+    outside the guard take the integer path below, which raises the range
+    errors and keeps a signed zero.
+    """
+    if _SPLIT_MIN < abs(x) < _SPLIT_MAX:
+        c = x * fmt.split
+        return c - (c - x)
+    # _split/_rebuild inlined, one frexp and one ldexp per call.
     m, e = frexp(x)
     try:
         M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)

@@ -121,6 +121,24 @@ def test_rosenbrock_start_overflow_is_reported_not_raised(tmp_path, capsys):
     assert all(line.split(",")[2] == "nan" for line in lines[1:])
 
 
+@pytest.mark.filterwarnings("error")
+def test_rosenbrock_start_inf_loss_is_reported_not_raised(tmp_path, capsys):
+    # the loss at this start is inf without an OverflowError: every
+    # trajectory diverges at the start, and aggregation must not warn
+    code, _, _ = run_cli(
+        ["rosenbrock", "--start", "1e120,0", "--iters", "3", "--trials", "2",
+         "--r", "3", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / "rosenbrock_p11_r3_start1e+120-0.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 4
+    for line in lines[1:]:
+        _, mode, value, stderr = line.split(",")
+        # the deterministic baselines run once and report zero spread
+        assert (value, stderr) == ("nan", "nan" if mode == "sr3" else "0")
+
+
 def test_bounds_table_accepts_p53_ideal(tmp_path, capsys):
     code, _, _ = run_cli(
         ["bounds-table", "--p", "53", "--r", "ideal", "--n-grid", "10",

@@ -165,6 +165,29 @@ def test_csv_format(tmp_path):
     assert float(text[1].split(",")[2]) == 1.0 / 3.0  # 17 digits round-trip
 
 
+_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
+]
+
+
+def test_csv_lines_match_format_rendering(tmp_path):
+    rows = [SummaryRow(k, "sr3", v, 0.0) for k, v in enumerate(_EDGE_VALUES)]
+    path = write_rows(tmp_path / "edge.csv", rows)
+    want = "n_or_k,mode,value,stderr\n" + "".join(
+        f"{k},sr3,{v:.17g},{0.0:.17g}\n" for k, v in enumerate(_EDGE_VALUES)
+    )
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1:] == [
+        "0,sr3,nan,0",
+        "1,sr3,inf,0",
+        "2,sr3,-inf,0",
+        "3,sr3,-0,0",
+        "4,sr3,4.9406564584124654e-324,0",
+        "5,sr3,1.7976931348623157e+308,0",
+        "6,sr3,0.33333333333333331,0",
+    ]
+
+
 def test_csv_name():
     assert csv_name(TINY_SUM) == "sum_p11_r3-7.csv"
     spec = ExperimentSpec(kind="rosenbrock", p=11, r_list=(3, IDEAL))

@@ -1,8 +1,9 @@
 """Byte-identity gate: sha256 of the CSVs that small CLI runs write.
 
 The digests were recorded before the sum/dot driver and the option handling
-were refactored, and ``sum-refill`` before the scalar rounding core and the
-list-served random words were; a change that alters any byte a run writes
+were refactored, ``sum-refill`` before the scalar rounding core and the
+list-served random words were, and ``rosenbrock-diverge`` after a start
+whose loss is inf became a divergence; a change that alters any byte a run writes
 for the same flags and seed fails here.  When output bytes change on purpose, record the
 new digests with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
@@ -39,6 +40,10 @@ CASES = {
     # and end in partial Philox blocks and refill in the middle of a chain
     "sum-refill": ["sum", "--p", "11", "--r", "3,ideal", "--n-grid", "100,3000",
                    "--trials", "2"],
+    # the loss at this start is inf without an OverflowError: every
+    # trajectory diverges at the start
+    "rosenbrock-diverge": ["rosenbrock", "--start", "1e120,0", "--iters", "3",
+                           "--trials", "2", "--r", "3"],
 }
 
 GOLDEN = {
@@ -60,6 +65,9 @@ GOLDEN = {
     },
     "sum-refill": {
         "sum_p11_r3-ideal.csv": "1247985f2e0f91b2cd769b5f9a64c1502841d3faef14bfd21a83299096d14faa",
+    },
+    "rosenbrock-diverge": {
+        "rosenbrock_p11_r3_start1e+120-0.csv": "2d2ae8242a61aa2120578bad799666d49515010f7994b297ba207ce0b8985aee",
     },
 }
 

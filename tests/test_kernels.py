@@ -177,10 +177,12 @@ def test_gd_loss_overflow_is_divergence():
 
 
 def test_gd_non_finite_gradient_is_divergence():
-    # the loss at this start is already inf, and so is its gradient
+    # the loss at this start is already inf (the * term overflows without
+    # raising), and so is its gradient: the start itself has diverged
     traj = gd_rosenbrock((1e120, 0.0), 0.001, 10, rn_config(11), RngStream(0, 0))
     assert traj.diverged
-    assert traj.loss_series == [math.inf]
+    assert traj.iterates == []
+    assert traj.loss_series == []
 
 
 def test_gd_start_loss_overflow_is_divergence():

@@ -173,6 +173,28 @@ def test_round_nearest_error_bound(x, p):
 @example(5e-324, 2)  # substrate subnormal, on the grid
 @example(math.ldexp(3.0, -1024), 2)  # substrate subnormal tie
 @example(math.ldexp(2.0 ** 52 - 1, -1074), 11)  # rounds up to 2**-1022
+# the edges of the Veltkamp split guard 2**-960 < |x| < 2**960, and the
+# substrate neighbors on either side of each edge
+@example(math.ldexp(1.0, -960), 11)
+@example(-math.ldexp(1.0, -960), 11)
+@example(math.nextafter(math.ldexp(1.0, -960), 0.0), 2)
+@example(math.nextafter(math.ldexp(1.0, -960), math.inf), 2)
+@example(-math.nextafter(math.ldexp(1.0, -960), 0.0), 24)
+@example(-math.nextafter(math.ldexp(1.0, -960), math.inf), 24)
+@example(math.ldexp(1.0, 960), 11)
+@example(-math.ldexp(1.0, 960), 11)
+@example(math.nextafter(math.ldexp(1.0, 960), 0.0), 2)  # rounds up to 2**960
+@example(math.nextafter(math.ldexp(1.0, 960), math.inf), 2)
+@example(-math.nextafter(math.ldexp(1.0, 960), 0.0), 52)
+@example(-math.nextafter(math.ldexp(1.0, 960), math.inf), 52)
+# exact ties: to the even neighbor, below and above
+@example(1.25, 2)
+@example(-1.75, 2)
+@example(1.0 + 2.0 ** -52, 52)
+@example(-(1.0 + 3 * 2.0 ** -52), 52)
+# p = 53 keeps every value; the split constant is 2.0 there
+@example(1.0 / 3.0, 53)
+@example(-math.ldexp(1.0 / 3.0, 959), 53)
 @settings(max_examples=1000)
 def test_round_nearest_matches_dyadic_oracle(x, p):
     fmt = FpFormat(p)
