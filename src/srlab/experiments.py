@@ -218,8 +218,11 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
         return out
 
     for cfg in (rn_config(53), rn_config(spec.p)):
+        # one deterministic run: zero spread, none once it has diverged
+        # (the shared 0.0 and nan constants add no float object per row)
         series = losses_of(cfg, 0).tolist()
-        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), series, repeat(0.0)))
+        se = [math.nan if v != v else 0.0 for v in series]
+        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), series, se))
 
     for cfg in (sr_config(spec.p, r) for r in spec.r_list):
         stacked = np.vstack([losses_of(cfg, trial) for trial in range(spec.trials)])

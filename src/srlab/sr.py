@@ -64,11 +64,6 @@ class RngStream:
         self._list: list[int] = []  # self._words as Python ints, made by next_bits
         self._pos = 0
 
-    def _refill(self, n: int) -> None:
-        self._words = self._bitgen.random_raw(max(n, _BLOCK))
-        self._list = []
-        self._pos = 0
-
     def next_bits(self, k: int) -> int:
         """k independent uniform bits, 1 <= k <= 64, as an integer."""
         if not 1 <= k <= 64:
@@ -78,31 +73,32 @@ class RngStream:
             w = self._list[pos]
         except IndexError:  # list view not made yet, or the block is used up
             if pos >= len(self._words):
-                self._refill(_BLOCK)
+                self._words = self._bitgen.random_raw(_BLOCK)
                 pos = 0
-            # a block that bits_array left words in holds _BLOCK words at most
             self._list = self._words.tolist()
             w = self._list[pos]
         self._pos = pos + 1
         return w & ((1 << k) - 1)
 
     def bits_array(self, k: int, size: int) -> np.ndarray:
-        """``size`` draws of ``next_bits(k)`` as a uint64 array."""
+        """``size`` draws of ``next_bits(k)`` as a uint64 array: the words left
+        in the block, then the rest straight from the generator (Philox words
+        do not depend on how its calls are split), which uses the block up."""
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
-        out = np.empty(size, dtype=np.uint64)
-        filled = 0
-        while filled < size:
-            avail = len(self._words) - self._pos
-            if avail == 0:
-                self._refill(size - filled)
-                avail = len(self._words)
-            take = min(avail, size - filled)
-            out[filled:filled + take] = self._words[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        mask = np.uint64((1 << k) - 1)
+        words, pos = self._words, self._pos
+        if size <= len(words) - pos:
+            self._pos = pos + size
+            return words[pos:pos + size] & mask  # a new array, never a view
+        out = self._bitgen.random_raw(size - (len(words) - pos))
+        if pos < len(words):
+            out = np.concatenate((words[pos:], out))
+        self._pos = len(words)
         if k < 64:
-            out &= np.uint64((1 << k) - 1)
+            out &= mask
         return out
 
 
@@ -251,24 +247,36 @@ def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:
 def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:
     """``size`` independent sr_round outcomes of x as a float64 array.
 
-    Consumes one 64-bit word per draw, exactly like a loop of sr_round
-    calls, but performs the carry test vectorized.
+    Bit-identical to a loop of sr_round calls on the same stream: one word
+    per draw off the grid and none on it, and a SubstrateRangeError exactly
+    when some drawn outcome is out of range.
     """
     _check_finite(x)
-    if x == 0.0:
-        return np.zeros(size)
     M, e = _split(x)
     rem = M & cfg.mask_p
-    exp = e - cfg.fmt.p + 1
-    sig = M >> cfg.shift_p
-    if rem == 0:
-        return np.full(size, _rebuild(x < 0, sig, exp))
-    k = rem >> cfg.shift_pr
-    lo_mag = _rebuild(x < 0, sig, exp)
-    hi_mag = _rebuild(x < 0, sig + 1, exp)
-    zs = rng.bits_array(cfg.r_bits, size)
-    ups = (zs + np.uint64(k)) >> np.uint64(cfg.r_bits)
-    return np.where(ups.astype(bool), hi_mag, lo_mag)
+    if rem == 0:  # zero or on the grid
+        return np.full(size, x, dtype=np.float64)
+    r = cfg.r_bits
+    # k + z carries out of r bits iff z >= 2**r - k, as z, k < 2**r
+    carry = rng.bits_array(r, size) >= (1 << r) - (rem >> cfg.shift_pr)
+    sig, exp = M >> cfg.shift_p, e - cfg.fmt.p + 1
+    try:
+        lo, hi = ldexp(sig, exp), ldexp(sig + 1, exp)
+    except OverflowError:
+        lo = 0.0  # hi overflows: let the range check below decide
+    if lo < _DBL_MIN:  # a neighbor may be out of range: rebuild the drawn ones
+        ups = int(np.count_nonzero(carry))
+        if ups:
+            hi = _rebuild(x < 0, sig + 1, exp)
+        if ups < size:
+            lo = _rebuild(x < 0, sig, exp)
+        return np.full(size, hi if ups else lo)
+    if x < 0:
+        lo, hi = -lo, -hi
+    # exact: hi - lo is one ulp, a power of two, and lo + ulp == hi
+    out = carry * (hi - lo)
+    out += lo
+    return out
 
 
 _OPS = {

@@ -3,7 +3,8 @@
 The digests were recorded before the sum/dot driver and the option handling
 were refactored, ``sum-refill`` before the scalar rounding core and the
 list-served random words were, and ``rosenbrock-diverge`` after a start
-whose loss is inf became a divergence; a change that alters any byte a run writes
+whose loss is inf became a divergence and diverged baselines got stderr
+NaN; a change that alters any byte a run writes
 for the same flags and seed fails here.  When output bytes change on purpose, record the
 new digests with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
@@ -67,7 +68,7 @@ GOLDEN = {
         "sum_p11_r3-ideal.csv": "1247985f2e0f91b2cd769b5f9a64c1502841d3faef14bfd21a83299096d14faa",
     },
     "rosenbrock-diverge": {
-        "rosenbrock_p11_r3_start1e+120-0.csv": "2d2ae8242a61aa2120578bad799666d49515010f7994b297ba207ce0b8985aee",
+        "rosenbrock_p11_r3_start1e+120-0.csv": "343809549cfe6572723c0ac202a88c13a4d3afd8f152c5981a42493b5327451f",
     },
 }
 

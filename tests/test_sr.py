@@ -2,6 +2,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,35 @@ def test_interleaved_draws_match_next_bits_loop(calls):
             got = [a.next_bits(k) for _ in range(size)]
         assert got == [b.next_bits(k) for _ in range(size)]
     assert a.next_bits(64) == b.next_bits(64)
+
+
+def test_bits_array_size_zero_draws_nothing():
+    a = RngStream(8, 2)
+    out = a.bits_array(64, 0)
+    assert out.dtype == np.uint64 and out.size == 0
+    assert a.next_bits(64) == RngStream(8, 2).next_bits(64)
+
+
+@pytest.mark.parametrize("lead", [0, 5, 512])
+def test_bits_array_negative_size_leaves_stream_unchanged(lead):
+    a, b = RngStream(8, 2), RngStream(8, 2)
+    assert [a.next_bits(64) for _ in range(lead)] == [b.next_bits(64) for _ in range(lead)]
+    with pytest.raises(ValueError):
+        a.bits_array(11, -1)
+    assert [a.next_bits(64) for _ in range(600)] == [b.next_bits(64) for _ in range(600)]
+
+
+# served from the block, from the generator, and from both
+@pytest.mark.parametrize("lead, size", [(0, 5000), (5, 100), (5, 5000), (512, 700)])
+@pytest.mark.parametrize("k", [11, 64])
+def test_bits_array_result_does_not_alias_the_stream(lead, size, k):
+    a, b = RngStream(8, 2), RngStream(8, 2)
+    assert [a.next_bits(64) for _ in range(lead)] == [b.next_bits(64) for _ in range(lead)]
+    got = a.bits_array(k, size)
+    assert got.tolist() == b.bits_array(k, size).tolist()
+    assert not np.shares_memory(got, a._words)
+    got[:] = 0
+    assert [a.next_bits(64) for _ in range(1200)] == [b.next_bits(64) for _ in range(1200)]
 
 
 # ---------------------------------------------------------------- SrConfig
@@ -337,6 +367,45 @@ def test_sr_sample_representable():
     cfg = sr_config(11, 5)
     out = sr_sample(2.0, cfg, RngStream(1, 1), 16)
     assert (out == 2.0).all()
+
+
+@st.composite
+def sr_configs(draw):
+    p = draw(st.integers(2, 52))
+    return sr_config(p, draw(st.one_of(st.just(IDEAL), st.integers(1, 53 - p))))
+
+
+@given(
+    x=substrate_floats,
+    cfg=sr_configs(),
+    size=st.sampled_from([0, 1, 511, 512, 513, 5000]),
+    lead=st.sampled_from([0, 0, 1, 300, 511, 512, 513]),
+    seed=st.integers(0, 2**32),
+)
+# -0.0 keeps its sign, like sr_round
+@example(x=-0.0, cfg=sr_config(11, 5), size=3, lead=0, seed=0)
+# on the grid, so no rounding and no range error, though 5e-324 is subnormal
+@example(x=5e-324, cfg=sr_config(2, 3), size=3, lead=0, seed=0)
+# k = 0: every draw rounds down to 1.5 * 2**1023; the upper neighbor would overflow
+@example(x=math.ldexp(1.5, 1023) + math.ldexp(1.0, 983), cfg=sr_config(2, 1),
+         size=3, lead=0, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_sr_sample_is_the_sr_round_loop(x, cfg, size, lead, seed):
+    # twin streams, the block part read first: same outcome bits, same
+    # exception, and the same next word afterwards
+    a, b = RngStream(seed, 1), RngStream(seed, 1)
+    assert [a.next_bits(64) for _ in range(lead)] == [b.next_bits(64) for _ in range(lead)]
+    try:
+        want = [sr_round(x, cfg, b) for _ in range(size)]
+    except (ValueError, SubstrateRangeError) as exc:
+        with pytest.raises((ValueError, SubstrateRangeError)) as info:
+            sr_sample(x, cfg, a, size)
+        assert info.type is type(exc)
+        return
+    got = sr_sample(x, cfg, a, size)
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == np.array(want, dtype=np.float64).view(np.uint64).tolist()
+    assert a.next_bits(64) == b.next_bits(64)
 
 
 # -------------------------------------------------------------------- ops
