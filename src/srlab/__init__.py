@@ -19,7 +19,6 @@ from .bounds import (
     cond_sum,
     det_bound_sum,
     gamma,
-    powerset_expansion,
     rule_of_thumb_r,
     tail_roundoff,
     unit_roundoff,
@@ -38,10 +37,8 @@ from .experiments import (
     ExperimentSpec,
     SummaryRow,
     TrialResult,
-    estimate_bias,
     estimate_coverage,
     run_bounds_table,
-    run_dot_experiment,
     run_rosenbrock,
     run_sum_experiment,
     write_rows,
@@ -56,10 +53,8 @@ from .kernels import (
     rosenbrock_grad,
 )
 from .rounding import (
-    Decomposition,
     FpFormat,
     SubstrateRangeError,
-    decompose,
     is_representable,
     round_down,
     round_nearest,
@@ -77,9 +72,7 @@ from .sr import (
     enumerate_distribution,
     q_r_numerator,
     rn_config,
-    rn_op,
     sr_config,
-    sr_op,
     sr_round,
     sr_round_traced,
     sr_sample,

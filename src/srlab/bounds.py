@@ -186,24 +186,3 @@ def rule_of_thumb_r(n: int) -> int:
     if n < 2:
         raise ValueError("n must be >= 2")
     return ((n - 1).bit_length() + 1) // 2
-
-
-def powerset_expansion(xs, ys) -> float:
-    """Sum over all subsets K of prod_{i in K} x_i * prod_{j not in K} y_j.
-
-    Equals prod(x_k + y_k); the empty product is 1.  Brute-force over the
-    2**n subsets, so lengths are capped at 20.  The subset terms are summed
-    with math.fsum to keep the result faithful to the exact expansion.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    n = len(xs)
-    if n > 20:
-        raise ValueError("power-set expansion capped at length 20")
-    terms = []
-    for mask in range(1 << n):
-        prod = 1.0
-        for i in range(n):
-            prod *= xs[i] if (mask >> i) & 1 else ys[i]
-        terms.append(prod)
-    return math.fsum(terms)

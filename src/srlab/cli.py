@@ -208,10 +208,8 @@ def _experiment(spec: experiments.ExperimentSpec) -> None:
     """Run the experiment and write its CSV, one per start for Rosenbrock."""
     for start in spec.starts if spec.kind == "rosenbrock" else (None,):
         t0 = time.perf_counter()
-        if spec.kind == "sum":
+        if spec.kind in ("sum", "dot"):
             rows = experiments.run_sum_experiment(spec)
-        elif spec.kind == "dot":
-            rows = experiments.run_dot_experiment(spec)
         elif spec.kind == "rosenbrock":
             rows = experiments.run_rosenbrock(spec, start)
         else:

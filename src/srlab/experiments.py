@@ -22,7 +22,7 @@ from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
 from .rounding import FpFormat, round_nearest, round_nearest_array
-from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config, sr_sample
+from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config
 
 _INV_2_53 = 2.0 ** -53
 
@@ -60,6 +60,8 @@ class ExperimentSpec:
         mode = MODE_RN if self.kind == "bounds-table" else MODE_SR
         if not self.r_list:
             raise ValueError("r_list must not be empty")
+        if len(set(self.r_list)) != len(self.r_list):
+            raise ValueError(f"r_list repeats a value: {self.r_list}")
         for r in self.r_list:
             SrConfig(fmt, r, mode)
         if self.trials < 1:
@@ -179,12 +181,8 @@ def aggregate_trials(trials: list[TrialResult]) -> list[SummaryRow]:
 
 
 def run_sum_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
-    """Mean relative error per (n, mode) for recursive summation."""
-    return aggregate_trials(run_trials(spec))
-
-
-def run_dot_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
-    """Mean relative error per (n, mode) for the inner product."""
+    """Mean relative error per (n, mode) of the recursive sum (kind ``sum``)
+    or of the inner product (kind ``dot``)."""
     return aggregate_trials(run_trials(spec))
 
 
@@ -242,16 +240,6 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
             map(SummaryRow, range(npoints), repeat(cfg.label), mean.tolist(), se.tolist())
         )
     return rows
-
-
-def estimate_bias(x: float, cfg: SrConfig, trials: int, seed: int) -> tuple[float, float]:
-    """Sample mean and standard error of repeated stochastic roundings of x."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    samples = sr_sample(x, cfg, RngStream(seed, 0), trials)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
 
 
 def estimate_coverage(errors, bound: float) -> float:

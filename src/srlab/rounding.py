@@ -48,20 +48,6 @@ class FpFormat:
         return math.ldexp(1.0, 1 - self.p)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Sign/exponent/significand triple with ``m`` in [1, 2) at substrate width."""
-
-    sign: int
-    exponent: int
-    significand: float
-
-    @property
-    def value(self) -> float:
-        v = math.ldexp(self.significand, self.exponent)
-        return -v if self.sign else v
-
-
 def _check_finite(x: float) -> None:
     if not math.isfinite(x):
         raise ValueError(f"finite value required, got {x!r}")
@@ -85,15 +71,6 @@ def _rebuild(negative: bool, sig: int, exp: int) -> float:
     if abs(y) < _DBL_MIN:
         raise SubstrateRangeError("result underflows to a binary64 subnormal")
     return -y if negative else y
-
-
-def decompose(x: float) -> Decomposition:
-    """Exact sign/exponent/significand decomposition of a nonzero finite value."""
-    _check_finite(x)
-    if x == 0.0:
-        raise ValueError("zero has no normalized decomposition")
-    m, e = math.frexp(abs(x))
-    return Decomposition(sign=1 if x < 0 else 0, exponent=e - 1, significand=m * 2.0)
 
 
 def ulp(x: float, fmt: FpFormat) -> float:

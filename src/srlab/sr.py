@@ -32,8 +32,6 @@ from .rounding import (
     _check_finite,
     _rebuild,
     _split,
-    is_representable,
-    round_nearest,
     truncate,
 )
 
@@ -159,21 +157,28 @@ class RoundingRecord:
     beta: float   # (truncate(input, p+r) - input) / input, |beta| <= 2**(1-p-r)
 
 
+def _off_grid(x: float, cfg: SrConfig) -> tuple[int, int, int] | None:
+    """None when x is zero or on the precision-p grid (no draw), else
+    ``(sig, exp, k)``: |x| lies between ``sig * 2**exp`` and ``(sig+1) * 2**exp``,
+    and a draw z carries into the upper one iff ``k + z >= 2**r``."""
+    _check_finite(x)
+    M, e = _split(x)
+    rem = M & cfg.mask_p
+    if rem == 0:
+        return None
+    return M >> cfg.shift_p, e - cfg.fmt.p + 1, rem >> cfg.shift_pr
+
+
 def q_r_numerator(x: float, cfg: SrConfig) -> int:
     """Integer k such that the round-up probability of x is exactly k / 2**r.
 
     k = 0 when x is representable at precision p; k may reach 2**r for
     negative inputs whose magnitude truncates onto the grid.
     """
-    _check_finite(x)
-    if x == 0.0:
+    d = _off_grid(x, cfg)
+    if d is None:
         return 0
-    M, _ = _split(x)
-    rem = M & cfg.mask_p
-    if rem == 0:
-        return 0
-    k = rem >> cfg.shift_pr
-    return k if x > 0 else (1 << cfg.r_bits) - k
+    return d[2] if x > 0 else (1 << cfg.r_bits) - d[2]
 
 
 def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
@@ -216,29 +221,28 @@ def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:
     """Exhaust all 2**r draws of the mechanism for x.
 
     Returns ``(lower, upper, up_count)`` where ``up_count`` of the 2**r
-    equally likely draws carry into the upper neighbor.  The decomposition
-    of x is shared across draws; each draw exercises the same add-and-carry
-    step as :func:`sr_round`.
+    equally likely draws give the upper neighbor by :func:`sr_round`'s
+    add-and-carry step.  A value on the grid is its own neighbors; a
+    neighbor that no draw reaches is infinite when it overflows.
     """
-    _check_finite(x)
     if cfg.r_bits > 20:
         raise ValueError("exhaustive enumeration capped at r <= 20")
-    m = 1 << cfg.r_bits
-    if x == 0.0:
-        return 0.0, 0.0, 0
-    M, e = _split(x)
-    rem = M & cfg.mask_p
-    exp = e - cfg.fmt.p + 1
-    sig = M >> cfg.shift_p
-    if rem == 0:
-        v = _rebuild(x < 0, sig, exp)
-        return v, v, 0
-    k = rem >> cfg.shift_pr
+    d = _off_grid(x, cfg)
+    if d is None:
+        return x, x, 0
+    sig, exp, k = d
     r = cfg.r_bits
+    m = 1 << r
     carries = sum((k + z) >> r for z in range(m))
-    lo_mag = _rebuild(x < 0, sig, exp)
-    hi_mag = _rebuild(x < 0, sig + 1, exp)
-    if x > 0:
+    neg = x < 0
+    lo_mag = _rebuild(neg, sig, exp)  # z = 0 never carries, as k < 2**r
+    try:
+        hi_mag = _rebuild(neg, sig + 1, exp)
+    except SubstrateRangeError:  # it overflows: lo_mag is normal
+        if carries:
+            raise
+        hi_mag = math.copysign(math.inf, x)
+    if not neg:
         return lo_mag, hi_mag, carries
     # magnitude growth means rounding toward -inf; count of upper = non-carries
     return hi_mag, lo_mag, m - carries
@@ -251,15 +255,13 @@ def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:
     per draw off the grid and none on it, and a SubstrateRangeError exactly
     when some drawn outcome is out of range.
     """
-    _check_finite(x)
-    M, e = _split(x)
-    rem = M & cfg.mask_p
-    if rem == 0:  # zero or on the grid
+    d = _off_grid(x, cfg)
+    if d is None:  # zero or on the grid
         return np.full(size, x, dtype=np.float64)
+    sig, exp, k = d
     r = cfg.r_bits
     # k + z carries out of r bits iff z >= 2**r - k, as z, k < 2**r
-    carry = rng.bits_array(r, size) >= (1 << r) - (rem >> cfg.shift_pr)
-    sig, exp = M >> cfg.shift_p, e - cfg.fmt.p + 1
+    carry = rng.bits_array(r, size) >= (1 << r) - k
     try:
         lo, hi = ldexp(sig, exp), ldexp(sig + 1, exp)
     except OverflowError:
@@ -277,56 +279,3 @@ def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:
     out = carry * (hi - lo)
     out += lo
     return out
-
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "sqrt": lambda a, b: math.sqrt(a),
-}
-
-
-def _op_result(op: str, a: float, b: float, fmt: FpFormat) -> float:
-    if op not in _OPS:
-        raise ValueError(f"unknown operation {op!r}")
-    for name, v in (("a", a), ("b", b)):
-        if op == "sqrt" and name == "b":
-            continue
-        if not is_representable(v, fmt):
-            raise ValueError(f"operand {name}={v!r} is not a precision-{fmt.p} value")
-    if op == "div" and b == 0.0:
-        raise ValueError("division by zero")
-    if op == "sqrt" and a < 0.0:
-        raise ValueError("square root of a negative value")
-    c = _OPS[op](a, b)
-    if not math.isfinite(c):
-        raise SubstrateRangeError(f"{op} result is out of substrate range")
-    return c
-
-
-def sr_op(
-    op: str,
-    a: float,
-    b: float,
-    cfg: SrConfig,
-    rng: RngStream,
-    trace: bool = False,
-):
-    """Elementary operation on precision-p operands, stochastically rounded.
-
-    The pre-rounding value is the binary64 result of the operation (exact
-    for products with 2p <= 53; add/sub may be double-rounded when the exact
-    sum needs more than 53 bits; for div/sqrt the correctly rounded
-    substrate result stands in for the exact value).
-    """
-    c = _op_result(op, a, b, cfg.fmt)
-    if trace:
-        return sr_round_traced(c, cfg, rng)
-    return sr_round(c, cfg, rng)
-
-
-def rn_op(op: str, a: float, b: float, fmt: FpFormat) -> float:
-    """Elementary operation rounded to nearest (ties to even) at precision p."""
-    return round_nearest(_op_result(op, a, b, fmt), fmt)

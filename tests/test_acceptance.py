@@ -18,7 +18,6 @@ from srlab.bounds import (
     bc_bound_sum,
     bias_bound_sum,
     det_bound_sum,
-    powerset_expansion,
     rule_of_thumb_r,
     tail_roundoff,
     unit_roundoff,
@@ -44,6 +43,7 @@ from srlab.sr import (
 )
 
 from conftest import random_substrate_values
+from test_bounds import powerset_expansion
 from test_sr import FixedStream
 
 P_CYCLE = (2, 8, 11, 24)

@@ -86,6 +86,8 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["sum", "--r", ",", "--n-grid", "10"],
         ["sum", "--n-grid", ","],
         ["round", "--value", "1.3", "--samples", "-4"],
+        ["sum", "--r", "3,3"],
+        ["rosenbrock", "--r", "3,3"],
     ],
     ids=" ".join,
 )

@@ -12,10 +12,8 @@ from srlab.experiments import (
     aggregate_trials,
     _draw_uniform_p,
     csv_name,
-    estimate_bias,
     estimate_coverage,
     run_bounds_table,
-    run_dot_experiment,
     run_rosenbrock,
     run_sum_experiment,
     run_trials,
@@ -71,7 +69,7 @@ def test_trial_results_paired_across_modes():
 
 def test_dot_experiment_structure():
     spec = ExperimentSpec(kind="dot", p=11, r_list=(7,), n_grid=(5, 20), trials=4, seed=3)
-    rows = run_dot_experiment(spec)
+    rows = run_sum_experiment(spec)
     assert len(rows) == 2 * 2  # two n values, modes rn and sr7
 
 
@@ -82,28 +80,6 @@ def test_trial_stream_contract():
     c = RngStream(9, 0)
     c2 = RngStream(9, 0)
     assert [c.next_bits(16) for _ in range(32)] == [c2.next_bits(16) for _ in range(32)]
-
-
-def test_estimate_bias_representable_value():
-    mean, stderr = estimate_bias(2.0, _cfg(11, 3), trials=100, seed=0)
-    assert mean == 2.0
-    assert stderr == 0.0
-
-
-def _cfg(p, r):
-    from srlab.sr import sr_config
-
-    return sr_config(p, r)
-
-
-def test_estimate_bias_converges_to_truncation():
-    # with one random bit the long-run mean is the 3-bit truncation 1.25
-    mean, stderr = estimate_bias(1.3125, _cfg(2, 1), trials=40000, seed=11)
-    assert abs(mean - 1.25) <= 4 * stderr
-    assert abs(mean - 1.3125) > 10 * stderr  # visibly biased away from x
-    # with three random bits the operator is unbiased at this x
-    mean, stderr = estimate_bias(1.3125, _cfg(2, 3), trials=40000, seed=12)
-    assert abs(mean - 1.3125) <= 4 * stderr
 
 
 def test_estimate_coverage():

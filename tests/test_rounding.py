@@ -17,7 +17,6 @@ from srlab.dyadic import (
 from srlab.rounding import (
     FpFormat,
     SubstrateRangeError,
-    decompose,
     is_representable,
     round_down,
     round_nearest,
@@ -36,28 +35,6 @@ P11 = FpFormat(11)
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e60, max_value=1e60
 ).filter(lambda x: x == 0.0 or abs(x) > 1e-60)
-
-
-def test_decompose_examples():
-    d = decompose(1.25)
-    assert (d.sign, d.exponent, d.significand) == (0, 0, 1.25)
-    d = decompose(-3.0)
-    assert (d.sign, d.exponent, d.significand) == (1, 1, 1.5)
-    d = decompose(0.5)
-    assert (d.sign, d.exponent, d.significand) == (0, -1, 1.0)
-
-
-def test_decompose_rejects_non_finite():
-    for bad in (0.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            decompose(bad)
-
-
-@given(finite_floats.filter(lambda x: x != 0.0))
-def test_decompose_reconstructs_bit_exactly(x):
-    d = decompose(x)
-    assert 1.0 <= d.significand < 2.0
-    assert d.value == x
 
 
 def test_ulp_examples():

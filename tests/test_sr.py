@@ -25,9 +25,7 @@ from srlab.sr import (
     enumerate_distribution,
     q_r_numerator,
     rn_config,
-    rn_op,
     sr_config,
-    sr_op,
     sr_round,
     sr_round_traced,
     sr_sample,
@@ -265,11 +263,55 @@ def test_sr_round_rejects_non_finite(x):
     assert rng.i == 0
 
 
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+_HUGE = math.ldexp(1.5, 1023) + math.ldexp(1.0, 983)  # k = 0 at p=2, r=1
+
+
+def test_sr_op_mul_example():
+    # 1.5 * 1.5 = 2.25 lies a quarter of the way from 2 to 3 on the p = 2 grid
+    cfg = sr_config(2, 2)
+    lo, hi, ups = enumerate_distribution(1.5 * 1.5, cfg)
+    assert (lo, hi, ups) == (2.0, 3.0, 1)  # q = 1/4
+
+
 def test_enumeration_example():
     assert enumerate_distribution(1.3125, sr_config(2, 1)) == (1.0, 1.5, 1)
     assert enumerate_distribution(1.3125, sr_config(2, 3)) == (1.0, 1.5, 5)
     lo, hi, ups = enumerate_distribution(1.5, sr_config(2, 3))
     assert (lo, hi, ups) == (1.5, 1.5, 0)
+    # values that need no rounding are their own neighbors, sign of zero included
+    lo, hi, ups = enumerate_distribution(-0.0, sr_config(11, 5))
+    assert (_bits([lo, hi]), ups) == (_bits([-0.0, -0.0]), 0)
+    assert enumerate_distribution(5e-324, sr_config(2, 3)) == (5e-324, 5e-324, 0)
+    # the overflowing neighbor no draw reaches is an infinity
+    top = math.ldexp(1.5, 1023)
+    assert enumerate_distribution(_HUGE, sr_config(2, 1)) == (top, math.inf, 0)
+    assert enumerate_distribution(-_HUGE, sr_config(2, 1)) == (-math.inf, -top, 2)
+
+
+@given(substrate_floats, st.integers(2, 52), st.integers(1, 8))
+@example(-0.0, 11, 5)  # keeps its sign, like sr_round
+@example(5e-324, 2, 3)  # on the grid, though subnormal: no rounding, no range error
+# every draw rounds to 1.5 * 2**1023; the neighbor no draw reaches is inf
+@example(_HUGE, 2, 1)
+@example(-_HUGE, 2, 1)
+@settings(max_examples=500, deadline=None)
+def test_enumerate_distribution_is_the_sr_round_loop(x, p, r):
+    cfg = sr_config(p, min(r, 53 - p))
+    try:
+        outs = [sr_round(x, cfg, FixedStream([z])) for z in range(1 << cfg.r_bits)]
+    except (ValueError, SubstrateRangeError) as exc:
+        with pytest.raises((ValueError, SubstrateRangeError)) as info:
+            enumerate_distribution(x, cfg)
+        assert info.type is type(exc)
+        return
+    lo, hi, ups = enumerate_distribution(x, cfg)
+    out_bits, (lo_bits, hi_bits) = _bits(outs), _bits([lo, hi])
+    assert set(out_bits) <= {lo_bits, hi_bits}
+    assert ups == (out_bits.count(hi_bits) if hi_bits != lo_bits else 0)
 
 
 def test_sr_round_agrees_with_enumeration_draw_by_draw():
@@ -406,48 +448,6 @@ def test_sr_sample_is_the_sr_round_loop(x, cfg, size, lead, seed):
     assert got.dtype == np.float64
     assert got.view(np.uint64).tolist() == np.array(want, dtype=np.float64).view(np.uint64).tolist()
     assert a.next_bits(64) == b.next_bits(64)
-
-
-# -------------------------------------------------------------------- ops
-
-
-def test_sr_op_add_example():
-    # 1 + 2**-12 at p=11: up-probability exactly 1/4 in the ideal limit
-    cfg = sr_config(11, IDEAL)
-    k = q_r_numerator(1.0 + 2.0 ** -12, cfg)
-    assert Fraction(k, 1 << cfg.r_bits) == Fraction(1, 4)
-    outs = {sr_op("add", 1.0, 2.0 ** -12, cfg, RngStream(0, i)) for i in range(64)}
-    assert outs <= {1.0, 1.0 + 2.0 ** -10}
-
-
-def test_sr_op_mul_example():
-    cfg = sr_config(2, 2)
-    lo, hi, ups = enumerate_distribution(1.5 * 1.5, cfg)
-    assert (lo, hi, ups) == (2.0, 3.0, 1)  # q = 1/4
-
-
-def test_sr_op_exact_result_is_deterministic():
-    cfg = sr_config(2, 3)
-    assert sr_op("add", 1.0, 1.0, cfg, FixedStream([])) == 2.0
-
-
-def test_sr_op_validates_operands():
-    cfg = sr_config(2, 3)
-    rng = RngStream(0, 0)
-    with pytest.raises(ValueError):
-        sr_op("add", 1.25, 1.0, cfg, rng)  # 1.25 not a p=2 value
-    with pytest.raises(ValueError):
-        sr_op("div", 1.0, 0.0, cfg, rng)
-    with pytest.raises(ValueError):
-        sr_op("sqrt", -1.0, 0.0, cfg, rng)
-    with pytest.raises(ValueError):
-        sr_op("pow", 1.0, 1.0, cfg, rng)
-
-
-def test_rn_op_examples():
-    assert rn_op("add", 2048.0, 1.0, FpFormat(11)) == 2048.0  # tie to even
-    assert rn_op("add", 1.0, 1.0, FpFormat(2)) == 2.0
-    assert rn_op("mul", 1.5, 1.5, FpFormat(2)) == 2.0
 
 
 def test_trace_record_envelopes():
