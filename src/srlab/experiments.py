@@ -203,7 +203,8 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
     """Loss-per-iteration table: binary64 and precision-p RN baselines once,
     stochastic modes averaged over spec.trials runs.
 
-    Iterations past a diverged trajectory are reported as NaN.
+    Iterations past a diverged trajectory are reported as NaN, with a NaN
+    stderr.
     """
     rows: list[SummaryRow] = []
     npoints = spec.iters + 1
@@ -215,30 +216,26 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
         out[: len(traj.loss_series)] = traj.loss_series
         return out
 
-    for cfg in (rn_config(53), rn_config(spec.p)):
-        # one deterministic run: zero spread, none once it has diverged
-        # (the shared 0.0 and nan constants add no float object per row)
-        series = losses_of(cfg, 0).tolist()
-        se = [math.nan if v != v else 0.0 for v in series]
-        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), series, se))
-
-    for cfg in (sr_config(spec.p, r) for r in spec.r_list):
-        stacked = np.vstack([losses_of(cfg, trial) for trial in range(spec.trials)])
-        # Scale each iterate's column to a largest finite magnitude below 1,
-        # so that neither the sum in mean nor the squares in std overflow;
-        # scaling by a power of two is exact, so other results keep their bits.
-        mags = np.abs(stacked)
-        mags[~np.isfinite(mags)] = 0.0
-        shift = np.frexp(mags.max(axis=0))[1]
-        np.ldexp(stacked, -shift, out=stacked)
-        mean = np.ldexp(stacked.mean(axis=0), shift)
-        if spec.trials > 1:
-            se = np.ldexp(stacked.std(axis=0, ddof=1) / math.sqrt(spec.trials), shift)
+    modes = [(rn_config(53), 1), (rn_config(spec.p), 1)]
+    modes += [(sr_config(spec.p, r), spec.trials) for r in spec.r_list]
+    for cfg, trials in modes:
+        if trials == 1:
+            # one run: zero spread, none once it has diverged (the shared
+            # 0.0 and nan constants add no float object per row)
+            mean = losses_of(cfg, 0).tolist()
+            se = [math.nan if v != v else 0.0 for v in mean]
         else:
-            se = np.zeros(npoints)
-        rows.extend(
-            map(SummaryRow, range(npoints), repeat(cfg.label), mean.tolist(), se.tolist())
-        )
+            stacked = np.vstack([losses_of(cfg, trial) for trial in range(trials)])
+            # Scale each column to a largest finite magnitude below 1, so that
+            # neither mean's sum nor std's squares overflow; scaling by a power
+            # of two is exact, so other results keep their bits.
+            mags = np.abs(stacked)
+            mags[~np.isfinite(mags)] = 0.0
+            shift = np.frexp(mags.max(axis=0))[1]
+            np.ldexp(stacked, -shift, out=stacked)
+            mean = np.ldexp(stacked.mean(axis=0), shift).tolist()
+            se = np.ldexp(stacked.std(axis=0, ddof=1) / math.sqrt(trials), shift).tolist()
+        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), mean, se))
     return rows
 
 

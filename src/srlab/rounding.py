@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import frexp, ldexp
 
 import numpy as np
 
@@ -48,73 +47,64 @@ class FpFormat:
         return math.ldexp(1.0, 1 - self.p)
 
 
-def _check_finite(x: float) -> None:
+def _decode(x: float, width: int) -> tuple[int, int, int]:
+    """Split finite x at ``width`` significand bits: ``(sig, rem, exp)``.
+
+    |x| = sig * 2**exp + rem * 2**(exp - 53 + width), with
+    ``2**(width-1) <= sig < 2**width`` and ``rem < 2**(53-width)``, so x lies
+    on the precision-``width`` grid iff rem = 0.  Zero decodes to sig = rem = 0.
+    """
     if not math.isfinite(x):
         raise ValueError(f"finite value required, got {x!r}")
-
-
-def _split(x: float) -> tuple[int, int]:
-    """Return (M, e) with |x| = M * 2**(e-52) and M in [2**52, 2**53)."""
     m, e = math.frexp(abs(x))
-    return int(m * _TWO53), e - 1
+    M = int(m * _TWO53)
+    s = SUBSTRATE_WIDTH - width
+    return M >> s, M & ((1 << s) - 1), e - width
 
 
 def _rebuild(negative: bool, sig: int, exp: int) -> float:
+    """``sig * 2**exp``, negated if ``negative``; SubstrateRangeError off the normal range."""
     # sig has at most 54 bits (carry may produce an exact power of two),
     # so float(sig) is exact; ldexp only misrounds outside the normal range.
     try:
         y = math.ldexp(sig, exp)
     except OverflowError:
         raise SubstrateRangeError("result overflows the binary64 substrate") from None
-    if math.isinf(y):
-        raise SubstrateRangeError("result overflows the binary64 substrate")
-    if abs(y) < _DBL_MIN:
+    if y < _DBL_MIN:
         raise SubstrateRangeError("result underflows to a binary64 subnormal")
     return -y if negative else y
 
 
 def ulp(x: float, fmt: FpFormat) -> float:
     """Grid spacing 2**(e-p+1) of the precision-p grid at the binade of x."""
-    _check_finite(x)
+    _, _, exp = _decode(x, fmt.p)
     if x == 0.0:
         raise ValueError("ulp is undefined at zero")
-    _, e = _split(x)
-    return _rebuild(False, 1, e - fmt.p + 1)
+    return _rebuild(False, 1, exp)
 
 
 def is_representable(x: float, fmt: FpFormat) -> bool:
     """True iff x lies on the precision-p grid (zero counts as representable)."""
-    _check_finite(x)
-    if x == 0.0:
-        return True
-    M, _ = _split(x)
-    return M & ((1 << (SUBSTRATE_WIDTH - fmt.p)) - 1) == 0
+    return _decode(x, fmt.p)[1] == 0
+
+
+def _directed(x: float, width: int, away: bool) -> float:
+    """x on the precision-``width`` grid: itself when zero or on the grid,
+    else its neighbor away from zero if ``away``, toward zero if not."""
+    sig, rem, exp = _decode(x, width)
+    if rem == 0:
+        return x
+    return _rebuild(x < 0, sig + away, exp)
 
 
 def round_down(x: float, fmt: FpFormat) -> float:
     """Largest precision-p value <= x (round toward negative infinity)."""
-    _check_finite(x)
-    if x == 0.0:
-        return x
-    M, e = _split(x)
-    s = SUBSTRATE_WIDTH - fmt.p
-    sig, rem = M >> s, M & ((1 << s) - 1)
-    if x < 0 and rem:
-        sig += 1
-    return _rebuild(x < 0, sig, e - fmt.p + 1)
+    return _directed(x, fmt.p, x < 0)
 
 
 def round_up(x: float, fmt: FpFormat) -> float:
     """Smallest precision-p value >= x (round toward positive infinity)."""
-    _check_finite(x)
-    if x == 0.0:
-        return x
-    M, e = _split(x)
-    s = SUBSTRATE_WIDTH - fmt.p
-    sig, rem = M >> s, M & ((1 << s) - 1)
-    if x > 0 and rem:
-        sig += 1
-    return _rebuild(x < 0, sig, e - fmt.p + 1)
+    return _directed(x, fmt.p, x > 0)
 
 
 def truncate(x: float, width: int) -> float:
@@ -123,14 +113,9 @@ def truncate(x: float, width: int) -> float:
     The result y satisfies |y| <= |x| and x = y*(1+b) with |b| < 2**(1-width);
     idempotent over repeated application at the same width.
     """
-    _check_finite(x)
     if not 1 <= width <= SUBSTRATE_WIDTH:
         raise ValueError(f"width must be in [1, {SUBSTRATE_WIDTH}], got {width}")
-    if x == 0.0:
-        return x
-    M, e = _split(x)
-    sig = M >> (SUBSTRATE_WIDTH - width)
-    return _rebuild(x < 0, sig, e - width + 1)
+    return _directed(x, width, False)
 
 
 def round_nearest(x: float, fmt: FpFormat) -> float:
@@ -147,25 +132,12 @@ def round_nearest(x: float, fmt: FpFormat) -> float:
     if _SPLIT_MIN < abs(x) < _SPLIT_MAX:
         c = x * fmt.split
         return c - (c - x)
-    # _split/_rebuild inlined, one frexp and one ldexp per call.
-    m, e = frexp(x)
-    try:
-        M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)
-    except (OverflowError, ValueError):  # int() of inf or nan
-        raise ValueError(f"finite value required, got {x!r}") from None
-    s = SUBSTRATE_WIDTH - fmt.p
-    if M & ((1 << s) - 1) == 0:  # zero, on the grid, or p = 53
+    sig, rem, exp = _decode(x, fmt.p)
+    if rem == 0:  # zero, on the grid, or p = 53
         return x
-    # adding half an ulp less one, plus the kept part's last bit, carries
-    # exactly when the remainder is above half or a tie onto an odd value
-    sig = (M + (1 << (s - 1)) - 1 + ((M >> s) & 1)) >> s
-    try:
-        y = ldexp(sig, e - fmt.p)
-    except OverflowError:
-        raise SubstrateRangeError("result overflows the binary64 substrate") from None
-    if y < _DBL_MIN:
-        raise SubstrateRangeError("result underflows to a binary64 subnormal")
-    return y if m > 0.0 else -y
+    # up when the remainder is above half an ulp, or a tie onto an odd sig
+    half = 1 << (SUBSTRATE_WIDTH - fmt.p - 1)
+    return _rebuild(x < 0, sig + (rem + (sig & 1) > half), exp)
 
 
 _EXP_FIELD = np.uint64(0x7FF)  # the binary64 exponent field, after a shift by 52

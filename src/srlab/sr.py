@@ -29,9 +29,8 @@ from .rounding import (
     _TWO53,
     FpFormat,
     SubstrateRangeError,
-    _check_finite,
+    _decode,
     _rebuild,
-    _split,
     truncate,
 )
 
@@ -161,12 +160,10 @@ def _off_grid(x: float, cfg: SrConfig) -> tuple[int, int, int] | None:
     """None when x is zero or on the precision-p grid (no draw), else
     ``(sig, exp, k)``: |x| lies between ``sig * 2**exp`` and ``(sig+1) * 2**exp``,
     and a draw z carries into the upper one iff ``k + z >= 2**r``."""
-    _check_finite(x)
-    M, e = _split(x)
-    rem = M & cfg.mask_p
+    sig, rem, exp = _decode(x, cfg.fmt.p)
     if rem == 0:
         return None
-    return M >> cfg.shift_p, e - cfg.fmt.p + 1, rem >> cfg.shift_pr
+    return sig, exp, rem >> cfg.shift_pr
 
 
 def q_r_numerator(x: float, cfg: SrConfig) -> int:
@@ -188,7 +185,7 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     and the lower neighbor otherwise.  No randomness is consumed when x is
     already representable.
     """
-    # Hot path: _split/_rebuild inlined, one frexp and one ldexp per call.
+    # Hot path: _decode/_rebuild inlined, one frexp and one ldexp per call.
     m, e = frexp(x)
     try:
         M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)

@@ -4,7 +4,8 @@ The digests were recorded before the sum/dot driver and the option handling
 were refactored, ``sum-refill`` before the scalar rounding core and the
 list-served random words were, and ``rosenbrock-diverge`` after a start
 whose loss is inf became a divergence and diverged baselines got stderr
-NaN; a change that alters any byte a run writes
+NaN, and ``rosenbrock-one-trial`` before the Rosenbrock baselines and
+stochastic modes shared one loop; a change that alters any byte a run writes
 for the same flags and seed fails here.  When output bytes change on purpose, record the
 new digests with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
@@ -45,6 +46,9 @@ CASES = {
     # trajectory diverges at the start
     "rosenbrock-diverge": ["rosenbrock", "--start", "1e120,0", "--iters", "3",
                            "--trials", "2", "--r", "3"],
+    # every mode, the SR ones included, runs once
+    "rosenbrock-one-trial": ["rosenbrock", "--p", "11", "--r", "3,ideal", "--iters", "40",
+                             "--trials", "1", "--seed", "2"],
 }
 
 GOLDEN = {
@@ -69,6 +73,10 @@ GOLDEN = {
     },
     "rosenbrock-diverge": {
         "rosenbrock_p11_r3_start1e+120-0.csv": "343809549cfe6572723c0ac202a88c13a4d3afd8f152c5981a42493b5327451f",
+    },
+    "rosenbrock-one-trial": {
+        "rosenbrock_p11_r3-ideal_start0-0.csv": "4409084d0b534e6ec31e339e821f7abfe4be9fed6f64f72f868eb4a7b92a46dc",
+        "rosenbrock_p11_r3-ideal_start0.5-0.5.csv": "fd6985d9b5f161a0415b9938d4cbfe3075ced3cd643a70276fe74bf902bd1234",
     },
 }
 

@@ -148,6 +148,7 @@ def test_round_nearest_error_bound(x, p):
 @example(-sys.float_info.max, 11)
 @example(-0.0, 11)
 @example(5e-324, 2)  # substrate subnormal, on the grid
+@example(-5e-324, 2)
 @example(math.ldexp(3.0, -1024), 2)  # substrate subnormal tie
 @example(math.ldexp(2.0 ** 52 - 1, -1074), 11)  # rounds up to 2**-1022
 # the edges of the Veltkamp split guard 2**-960 < |x| < 2**960, and the
@@ -174,17 +175,24 @@ def test_round_nearest_error_bound(x, p):
 @example(-math.ldexp(1.0 / 3.0, 959), 53)
 @settings(max_examples=1000)
 def test_round_nearest_matches_dyadic_oracle(x, p):
+    # the directed roundings too, over the same full substrate range
     fmt = FpFormat(p)
     v = dy_from_float(x)
-    want = dy_round_nearest(v, p)
-    if want == v:  # zero or on the grid: x itself, signed zero kept
-        y = round_nearest(x, fmt)
-        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
-    elif -1022 <= want.exponent <= 1023:
-        assert round_nearest(x, fmt) == dy_to_float(want)
-    else:
-        with pytest.raises(SubstrateRangeError):
-            round_nearest(x, fmt)
+    for rounding, arg, oracle in (
+        (round_nearest, fmt, dy_round_nearest),
+        (round_down, fmt, dy_floor),
+        (round_up, fmt, dy_ceil),
+        (truncate, p, dy_trunc),
+    ):
+        want = oracle(v, p)
+        if want == v:  # zero or on the grid: x itself, signed zero kept
+            y = rounding(x, arg)
+            assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+        elif -1022 <= want.exponent <= 1023:
+            assert rounding(x, arg) == dy_to_float(want)
+        else:
+            with pytest.raises(SubstrateRangeError):
+                rounding(x, arg)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])

@@ -11,8 +11,7 @@ from srlab.dyadic import dy_ceil, dy_floor, dy_from_float, dy_q, dy_to_float
 from srlab.rounding import (
     FpFormat,
     SubstrateRangeError,
-    _check_finite,
-    _split,
+    is_representable,
     round_down,
     round_up,
     truncate,
@@ -42,14 +41,9 @@ def sr_round_comparison(x: float, cfg: SrConfig, rng) -> float:
     Distribution-equivalent to :func:`sr_round`; an independent formulation
     to check the carry-based mechanism against.
     """
-    _check_finite(x)
-    if x == 0.0:
+    if is_representable(x, cfg.fmt):  # zero or on the grid: no draw
         return x
     k = q_r_numerator(x, cfg)
-    if k == 0:
-        M, _ = _split(x)
-        if M & cfg.mask_p == 0:
-            return x
     z = rng.next_bits(cfg.r_bits)
     return round_up(x, cfg.fmt) if z < k else round_down(x, cfg.fmt)
 
