@@ -9,7 +9,12 @@ Gradient descent on the Rosenbrock function keeps its iterates at
 precision p: gradients are evaluated in binary64, rounded to nearest at
 precision p, and the parameter update x - t*g is rounded once per
 coordinate with the configured mode.  A p = 53 round-to-nearest
-configuration degenerates to the plain binary64 baseline.
+configuration degenerates to the plain binary64 baseline.  The descent
+loop evaluates each iterate's loss and the next gradient from one shared
+``d = x2 - x1*x1``, with the operations of ``rosenbrock_f`` and
+``rosenbrock_grad`` in their order, and rounds the gradient with
+``round_nearest``'s Veltkamp split inline; every other gradient value
+goes to ``round_nearest`` itself.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import DyadicValue, exact_dot, exact_sum, rel_error
-from .rounding import SubstrateRangeError, is_representable, round_nearest
+from .rounding import (
+    _SPLIT_MAX,
+    _SPLIT_MIN,
+    SubstrateRangeError,
+    is_representable,
+    round_nearest,
+)
 from .sr import MODE_SR, RngStream, RoundingRecord, SrConfig, sr_round, sr_round_traced
 
 
@@ -170,6 +181,7 @@ def gd_rosenbrock(
     if t <= 0.0:
         raise ValueError("step size must be positive")
     fmt = cfg.fmt
+    split = fmt.split
     step = _stepper(cfg, None)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
@@ -177,21 +189,34 @@ def gd_rosenbrock(
     losses: list[float] = []
     diverged = False
     try:
-        # ** raises OverflowError, * gives inf; either is a divergence,
-        # at the start point as at any later iterate
-        loss = rosenbrock_f((x1, x2))
+        # rosenbrock_f and rosenbrock_grad, sharing d: ** raises
+        # OverflowError, * gives inf; either is a divergence, at the start
+        # point as at any later iterate
+        d = x2 - x1 * x1
+        loss = (1.0 - x1) ** 2 + 100.0 * d * d
         for _ in range(iters):
             if not math.isfinite(loss):
                 break
             iterates.append((x1, x2))
             losses.append(loss)
-            # round_nearest raises ValueError on a non-finite gradient
-            g1, g2 = rosenbrock_grad((x1, x2))
-            g1 = round_nearest(g1, fmt)
-            g2 = round_nearest(g2, fmt)
+            g1 = -2.0 * (1.0 - x1) - 400.0 * x1 * d
+            g2 = 200.0 * d
+            # round_nearest's split branch; zero, a non-finite gradient (a
+            # ValueError) and magnitudes outside the guard take its integer path
+            if _SPLIT_MIN < abs(g1) < _SPLIT_MAX:
+                c = g1 * split
+                g1 = c - (c - g1)
+            else:
+                g1 = round_nearest(g1, fmt)
+            if _SPLIT_MIN < abs(g2) < _SPLIT_MAX:
+                c = g2 * split
+                g2 = c - (c - g2)
+            else:
+                g2 = round_nearest(g2, fmt)
             x1 = step(x1 - t * g1, cfg, rng)
             x2 = step(x2 - t * g2, cfg, rng)
-            loss = rosenbrock_f((x1, x2))
+            d = x2 - x1 * x1
+            loss = (1.0 - x1) ** 2 + 100.0 * d * d
         if math.isfinite(loss):
             iterates.append((x1, x2))
             losses.append(loss)

@@ -31,7 +31,6 @@ from .rounding import (
     SubstrateRangeError,
     _decode,
     _rebuild,
-    truncate,
 )
 
 IDEAL = "ideal"
@@ -153,7 +152,7 @@ class RoundingRecord:
     exact_input: float
     rounded: float
     delta: float  # (rounded - input) / input, |delta| <= 2**(1-p)
-    beta: float   # (truncate(input, p+r) - input) / input, |beta| <= 2**(1-p-r)
+    beta: float   # (input truncated to p+r bits - input) / input, |beta| <= 2**(1-p-r)
 
 
 def _off_grid(x: float, cfg: SrConfig) -> tuple[int, int, int] | None:
@@ -210,7 +209,9 @@ def sr_round_traced(x: float, cfg: SrConfig, rng: RngStream) -> tuple[float, Rou
     y = sr_round(x, cfg, rng)
     if x == 0.0:
         return y, RoundingRecord(x, y, 0.0, 0.0)
-    fl = truncate(x, cfg.fmt.p + cfg.r_bits)
+    # the exact truncation, which may lie below the normal range where y does not
+    sig, _, exp = _decode(x, cfg.fmt.p + cfg.r_bits)
+    fl = math.copysign(ldexp(sig, exp), x)
     return y, RoundingRecord(x, y, (y - x) / x, (fl - x) / x)
 
 
@@ -230,7 +231,7 @@ def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:
     sig, exp, k = d
     r = cfg.r_bits
     m = 1 << r
-    carries = sum((k + z) >> r for z in range(m))
+    carries = int(((k + np.arange(m, dtype=np.int64)) >> r).sum())
     neg = x < 0
     lo_mag = _rebuild(neg, sig, exp)  # z = 0 never carries, as k < 2**r
     try:

@@ -5,13 +5,15 @@ import pytest
 
 from srlab.dyadic import dy_from_float, exact_sum
 from srlab.kernels import (
+    GdTrajectory,
+    _stepper,
     gd_rosenbrock,
     inner_product,
     recursive_sum,
     rosenbrock_f,
     rosenbrock_grad,
 )
-from srlab.rounding import SubstrateRangeError
+from srlab.rounding import SubstrateRangeError, round_nearest
 from srlab.sr import RngStream, rn_config, sr_config
 
 from test_sr import FixedStream
@@ -263,3 +265,69 @@ def test_trace_records_every_sr_rounding_and_no_rn_rounding():
     assert inner_product(vec, vec, rn_config(11), RngStream(4, 0), trace=True).records == []
     assert recursive_sum(vec, sr_config(11, 3), RngStream(4, 0)).records is None
 
+
+
+# ------------------------------------------- Rosenbrock descent, reference loop
+
+
+def _gd_reference(x0, t, iters, cfg, rng) -> GdTrajectory:
+    """The descent loop evaluated through ``rosenbrock_f``, ``rosenbrock_grad``
+    and ``round_nearest``: the reference ``gd_rosenbrock`` must reproduce."""
+    fmt = cfg.fmt
+    step = _stepper(cfg, None)
+    x1 = round_nearest(x0[0], fmt)
+    x2 = round_nearest(x0[1], fmt)
+    iterates, losses, diverged = [], [], False
+    try:
+        loss = rosenbrock_f((x1, x2))
+        for _ in range(iters):
+            if not math.isfinite(loss):
+                break
+            iterates.append((x1, x2))
+            losses.append(loss)
+            g1, g2 = rosenbrock_grad((x1, x2))
+            g1 = round_nearest(g1, fmt)
+            g2 = round_nearest(g2, fmt)
+            x1 = step(x1 - t * g1, cfg, rng)
+            x2 = step(x2 - t * g2, cfg, rng)
+            loss = rosenbrock_f((x1, x2))
+        if math.isfinite(loss):
+            iterates.append((x1, x2))
+            losses.append(loss)
+        else:
+            diverged = True
+    except (SubstrateRangeError, ValueError, OverflowError):
+        diverged = True
+    return GdTrajectory(iterates, losses, cfg.label, diverged)
+
+
+_GD_STARTS = [
+    (0.0, 0.0),
+    (0.5, 0.5),
+    (1.0, 1.0),  # the gradient is (-0.0, 0.0)
+    (2.0 ** -500, 0.0),  # g2 is below 2**-960, outside the split guard
+    (2.0 ** -520, 0.0),  # g2 is subnormal: rn and sr leave the range at once
+    (1e77, 1e154),
+    (1e120, 0.0),  # the start loss is inf
+    (1e200, 0.0),  # the start loss raises OverflowError
+]
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01])
+@pytest.mark.parametrize("start", _GD_STARTS, ids=repr)
+@pytest.mark.parametrize(
+    "cfg",
+    [rn_config(53), rn_config(11), sr_config(11, 3), sr_config(11)],
+    ids=lambda cfg: cfg.label,
+)
+def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
+    got_rng, want_rng = RngStream(3, 1), RngStream(3, 1)
+    got = gd_rosenbrock(start, t, 300, cfg, got_rng)
+    want = _gd_reference(start, t, 300, cfg, want_rng)
+    assert [(a.hex(), b.hex()) for a, b in got.iterates] == [
+        (a.hex(), b.hex()) for a, b in want.iterates
+    ]
+    assert [v.hex() for v in got.loss_series] == [v.hex() for v in want.loss_series]
+    assert got.diverged == want.diverged
+    assert got.mode == want.mode
+    assert got_rng.next_bits(64) == want_rng.next_bits(64)

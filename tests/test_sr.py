@@ -458,3 +458,26 @@ def test_trace_record_envelopes():
         assert abs(rec.beta) <= u_pr
         assert y == pytest.approx(x * (1 + rec.delta), rel=1e-15)
         assert y in (round_down(x, cfg.fmt), round_up(x, cfg.fmt))
+
+
+def test_trace_record_below_the_normal_range_matches_sr_round():
+    # x is a substrate subnormal that sr_round rounds up to 2**-1022 on a
+    # carry (7 in 8 draws) and rejects otherwise; the trace must agree
+    x = math.ldexp(2**52 - 1, -1074)
+    cfg = sr_config(11, 3)
+    rounded = 0
+    for i in range(200):
+        try:
+            want = sr_round(x, cfg, RngStream(0, i))
+        except SubstrateRangeError:
+            with pytest.raises(SubstrateRangeError):
+                sr_round_traced(x, cfg, RngStream(0, i))
+            continue
+        y, rec = sr_round_traced(x, cfg, RngStream(0, i))
+        assert y == rec.rounded == want == 2.0 ** -1022
+        # the truncation to p + r = 14 bits is 16383 * 2**-1036, itself subnormal
+        assert rec.beta == (math.ldexp(16383, -1036) - x) / x
+        assert abs(rec.delta) <= 2.0 ** -10
+        assert abs(rec.beta) <= 2.0 ** -13
+        rounded += 1
+    assert rounded == 171
