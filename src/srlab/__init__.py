@@ -67,14 +67,12 @@ from .sr import (
     MODE_RN,
     MODE_SR,
     RngStream,
-    RoundingRecord,
     SrConfig,
     enumerate_distribution,
     q_r_numerator,
     rn_config,
     sr_config,
     sr_round,
-    sr_round_traced,
     sr_sample,
 )
 

@@ -76,6 +76,9 @@ class ExperimentSpec:
             raise ValueError("iters must be >= 0")
         if not self.step > 0:
             raise ValueError("t must be positive")
+        for start in self.starts:
+            if not all(map(math.isfinite, start)):
+                raise ValueError(f"start point must be finite, got {start}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")
 

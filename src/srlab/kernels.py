@@ -30,7 +30,7 @@ from .rounding import (
     is_representable,
     round_nearest,
 )
-from .sr import MODE_SR, RngStream, RoundingRecord, SrConfig, sr_round, sr_round_traced
+from .sr import MODE_SR, RngStream, SrConfig, sr_round
 
 
 @dataclass
@@ -39,7 +39,6 @@ class KernelResult:
     exact: DyadicValue
     rel_error: float
     op_count: int
-    records: list[RoundingRecord] | None = None
 
 
 @dataclass
@@ -62,24 +61,14 @@ def _round_step(c: float, cfg: SrConfig, rng: RngStream) -> float:
     return round_nearest(c, cfg.fmt)
 
 
-def _stepper(cfg: SrConfig, records: list[RoundingRecord] | None):
+def _stepper(cfg: SrConfig):
     """The per-step rounding ``f(c, cfg, rng)`` of one kernel run.
 
     ``sr_round`` is read from the module globals on each call here, and
     ``_round_step`` reads ``round_nearest`` on each step, so rebinding
     either name reaches the kernels.
     """
-    if cfg.mode != MODE_SR:
-        return _round_step
-    if records is None:
-        return sr_round
-
-    def traced(c: float, cfg: SrConfig, rng: RngStream) -> float:
-        y, rec = sr_round_traced(c, cfg, rng)
-        records.append(rec)
-        return y
-
-    return traced
+    return sr_round if cfg.mode == MODE_SR else _round_step
 
 
 def _at_step(exc: Exception, index: int) -> SubstrateRangeError:
@@ -95,7 +84,6 @@ def recursive_sum(
     a,
     cfg: SrConfig,
     rng: RngStream,
-    trace: bool = False,
     exact: DyadicValue | None = None,
     validate: bool = True,
 ) -> KernelResult:
@@ -104,8 +92,7 @@ def recursive_sum(
         raise ValueError("empty input")
     if validate:
         _check_inputs("a", a, cfg)
-    records: list[RoundingRecord] | None = [] if trace else None
-    step = _stepper(cfg, records)
+    step = _stepper(cfg)
     s = a[0]
     k = 0
     try:
@@ -115,7 +102,7 @@ def recursive_sum(
         raise _at_step(exc, k) from exc
     if exact is None:
         exact = exact_sum(a)
-    return KernelResult(s, exact, rel_error(s, exact), len(a) - 1, records)
+    return KernelResult(s, exact, rel_error(s, exact), len(a) - 1)
 
 
 def inner_product(
@@ -123,7 +110,6 @@ def inner_product(
     b,
     cfg: SrConfig,
     rng: RngStream,
-    trace: bool = False,
     exact: DyadicValue | None = None,
     validate: bool = True,
 ) -> KernelResult:
@@ -135,8 +121,7 @@ def inner_product(
     if validate:
         _check_inputs("a", a, cfg)
         _check_inputs("b", b, cfg)
-    records: list[RoundingRecord] | None = [] if trace else None
-    step = _stepper(cfg, records)
+    step = _stepper(cfg)
     k = 0
     try:
         s = step(a[0] * b[0], cfg, rng)
@@ -146,7 +131,7 @@ def inner_product(
         raise _at_step(exc, k) from exc
     if exact is None:
         exact = exact_dot(a, b)
-    return KernelResult(s, exact, rel_error(s, exact), 2 * len(a) - 1, records)
+    return KernelResult(s, exact, rel_error(s, exact), 2 * len(a) - 1)
 
 
 def rosenbrock_f(x: tuple[float, float]) -> float:
@@ -182,7 +167,7 @@ def gd_rosenbrock(
         raise ValueError("step size must be positive")
     fmt = cfg.fmt
     split = fmt.split
-    step = _stepper(cfg, None)
+    step = _stepper(cfg)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
     iterates: list[tuple[float, float]] = []

@@ -145,16 +145,6 @@ def rn_config(p: int) -> SrConfig:
     return SrConfig(FpFormat(p), IDEAL, MODE_RN)
 
 
-@dataclass(frozen=True)
-class RoundingRecord:
-    """Trace of one rounding: relative error and the truncation bias part."""
-
-    exact_input: float
-    rounded: float
-    delta: float  # (rounded - input) / input, |delta| <= 2**(1-p)
-    beta: float   # (input truncated to p+r bits - input) / input, |beta| <= 2**(1-p-r)
-
-
 def _off_grid(x: float, cfg: SrConfig) -> tuple[int, int, int] | None:
     """None when x is zero or on the precision-p grid (no draw), else
     ``(sig, exp, k)``: |x| lies between ``sig * 2**exp`` and ``(sig+1) * 2**exp``,
@@ -202,17 +192,6 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     if y < _DBL_MIN:
         raise SubstrateRangeError("result underflows to a binary64 subnormal")
     return y if m > 0.0 else -y
-
-
-def sr_round_traced(x: float, cfg: SrConfig, rng: RngStream) -> tuple[float, RoundingRecord]:
-    """sr_round plus a record of the realized delta and the truncation beta."""
-    y = sr_round(x, cfg, rng)
-    if x == 0.0:
-        return y, RoundingRecord(x, y, 0.0, 0.0)
-    # the exact truncation, which may lie below the normal range where y does not
-    sig, _, exp = _decode(x, cfg.fmt.p + cfg.r_bits)
-    fl = math.copysign(ldexp(sig, exp), x)
-    return y, RoundingRecord(x, y, (y - x) / x, (fl - x) / x)
 
 
 def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:

@@ -1,8 +1,12 @@
+import contextlib
 import math
 import random
 
 import pytest
 from hypothesis import strategies as st
+
+from srlab import kernels
+from srlab.dyadic import dy_from_float, dy_to_float, dy_trunc
 
 
 def random_substrate_value(rng: random.Random, emin: int = -60, emax: int = 60) -> float:
@@ -16,6 +20,38 @@ def random_substrate_value(rng: random.Random, emin: int = -60, emax: int = 60) 
 def random_substrate_values(seed: int, count: int, emin: int = -60, emax: int = 60):
     rng = random.Random(seed)
     return [random_substrate_value(rng, emin, emax) for _ in range(count)]
+
+
+def sr_record(c: float, y: float, cfg) -> tuple[float, float]:
+    """``(delta, beta)`` of one SR rounding of c to y: the realized relative
+    error, and the relative error of truncating c to p + r bits, taken from
+    the dyadic oracle; both are 0.0 at c == 0.0."""
+    if c == 0.0:
+        return 0.0, 0.0
+    fl = dy_to_float(dy_trunc(dy_from_float(c), cfg.p + cfg.r_bits))
+    return (y - c) / c, (fl - c) / c
+
+
+@contextlib.contextmanager
+def recorded_sr_roundings():
+    """Record every SR rounding the kernels make through ``kernels.sr_round``.
+
+    Yields a list that grows by ``(c, y, delta, beta)`` per rounding, in
+    order; an RN run records nothing.
+    """
+    records = []
+    sr_round = kernels.sr_round
+
+    def recorder(c, cfg, rng):
+        y = sr_round(c, cfg, rng)
+        records.append((c, y, *sr_record(c, y, cfg)))
+        return y
+
+    kernels.sr_round = recorder
+    try:
+        yield records
+    finally:
+        kernels.sr_round = sr_round
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ Run as ``pytest tests/test_acceptance.py -v -s``.  Statistical checks use
 fixed seeds, so outcomes are reproducible run to run.
 """
 
+import hashlib
 import math
 import random
 
@@ -42,7 +43,7 @@ from srlab.sr import (
     sr_sample,
 )
 
-from conftest import random_substrate_values
+from conftest import random_substrate_values, recorded_sr_roundings
 from test_bounds import powerset_expansion
 from test_sr import FixedStream
 
@@ -298,18 +299,17 @@ def test_criterion_09_rule_of_thumb(capsys):
 # ------------------------------------------------------------ criterion 10
 
 
-def test_criterion_10_powerset_oracle_and_envelope():
-    failures = []
-    rng = random.Random(1010)
+def _criterion_10_powerset_cases(rng: random.Random):
     for case in range(100):
         n = rng.randint(1, 12)
         xs = [1.0 + (rng.random() - 0.5) * 2.0 ** -6 for _ in range(n)]
         ys = [(rng.random() - 0.5) * 2.0 ** -12 for _ in range(n)]
-        direct = math.prod(x + y for x, y in zip(xs, ys))
-        got = powerset_expansion(xs, ys)
-        if abs(got - direct) > 2.0 ** -40 * abs(direct):
-            failures.append(f"powerset case {case}: {got!r} vs {direct!r}")
+        yield case, xs, ys
 
+
+def _criterion_10_sums(rng: random.Random):
+    """``(case, r, records)`` of criterion 10's SR sums, drawn from rng after
+    its power-set cases; records are those of ``recorded_sr_roundings``."""
     fmt11 = FpFormat(11)
     for case in range(100):
         r = (2, 5)[case % 2]
@@ -318,10 +318,24 @@ def test_criterion_10_powerset_oracle_and_envelope():
             round_nearest((rng.random() * 3.75 + 0.25) * rng.choice((-1.0, 1.0)), fmt11)
             for _ in range(12)
         ]
-        res = recursive_sum(vec, cfg, RngStream(717, case), trace=True)
-        deltas = [rec.delta for rec in res.records]
-        alphas = [rec.delta - rec.beta for rec in res.records]
-        betas = [rec.beta for rec in res.records]
+        with recorded_sr_roundings() as records:
+            recursive_sum(vec, cfg, RngStream(717, case))
+        yield case, r, records
+
+
+def test_criterion_10_powerset_oracle_and_envelope():
+    failures = []
+    rng = random.Random(1010)
+    for case, xs, ys in _criterion_10_powerset_cases(rng):
+        direct = math.prod(x + y for x, y in zip(xs, ys))
+        got = powerset_expansion(xs, ys)
+        if abs(got - direct) > 2.0 ** -40 * abs(direct):
+            failures.append(f"powerset case {case}: {got!r} vs {direct!r}")
+
+    for case, r, records in _criterion_10_sums(rng):
+        deltas = [delta for _, _, delta, _ in records]
+        alphas = [delta - beta for _, _, delta, beta in records]
+        betas = [beta for _, _, _, beta in records]
         for j in range(len(deltas)):
             m = len(deltas) - j
             b_term = math.prod(1.0 + d for d in deltas[j:]) - math.prod(
@@ -333,5 +347,23 @@ def test_criterion_10_powerset_oracle_and_envelope():
         full = math.prod(1.0 + d for d in deltas)
         via_powerset = powerset_expansion([1.0 + a for a in alphas], betas)
         if abs(via_powerset - full) > max(1e-12, 2.0 ** -40 * abs(full)):
-            failures.append(f"powerset/trace mismatch case {case}")
+            failures.append(f"powerset/records mismatch case {case}")
     _report(10, "power-set expansion oracle and the suffix-product envelope", failures)
+
+
+def test_criterion_10_records_are_pinned():
+    # sha256 of every (delta, beta) in hex, with "|" after each case
+    rng = random.Random(1010)
+    for _ in _criterion_10_powerset_cases(rng):
+        pass
+    digest = hashlib.sha256()
+    count = 0
+    for _, _, records in _criterion_10_sums(rng):
+        for _, _, delta, beta in records:
+            digest.update(f"{delta.hex()},{beta.hex()};".encode())
+            count += 1
+        digest.update(b"|")
+    assert count == 1100
+    assert digest.hexdigest() == (
+        "43d9bc4d872008d7af2273818ab3f0c7eb814cb6636688e31f18f761c4d4dbb6"
+    )

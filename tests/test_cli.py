@@ -88,6 +88,8 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["round", "--value", "1.3", "--samples", "-4"],
         ["sum", "--r", "3,3"],
         ["rosenbrock", "--r", "3,3"],
+        ["rosenbrock", "--start", "nan,0", "--iters", "3", "--trials", "2", "--r", "3"],
+        ["rosenbrock", "--start", "1e400,1", "--iters", "3", "--trials", "2", "--r", "3"],
     ],
     ids=" ".join,
 )

@@ -16,6 +16,7 @@ from srlab.kernels import (
 from srlab.rounding import SubstrateRangeError, round_nearest
 from srlab.sr import RngStream, rn_config, sr_config
 
+from conftest import recorded_sr_roundings
 from test_sr import FixedStream
 
 
@@ -47,9 +48,10 @@ def test_sum_exact_when_partial_sums_representable():
 
 def test_sum_schedule_has_n_minus_1_roundings():
     vec = [1.0 + k * 2.0 ** -9 for k in range(50)]
-    res = recursive_sum(vec, sr_config(11, 4), RngStream(1, 0), trace=True)
+    with recorded_sr_roundings() as records:
+        res = recursive_sum(vec, sr_config(11, 4), RngStream(1, 0))
     assert res.op_count == 49
-    assert len(res.records) == 49
+    assert len(records) == 49
 
 
 def test_sum_validates_inputs():
@@ -68,8 +70,9 @@ def test_sum_range_error_reports_index():
 def test_sum_expansion_matches_trace():
     # value == sum of a_i * prod of (1 + delta) over later roundings
     vec = [0.75, 1.25, 0.5, 1.5, 0.875]
-    res = recursive_sum(vec, sr_config(8, 2), RngStream(9, 0), trace=True)
-    deltas = [r.delta for r in res.records]
+    with recorded_sr_roundings() as records:
+        res = recursive_sum(vec, sr_config(8, 2), RngStream(9, 0))
+    deltas = [delta for _, _, delta, _ in records]
     recon = 0.0
     for i, a in enumerate(vec):
         prod = 1.0
@@ -98,9 +101,10 @@ def test_dot_zero_tail_exact():
 def test_dot_schedule_has_2n_minus_1_roundings():
     a = [1.0 + k * 2.0 ** -7 for k in range(17)]
     b = [1.0 - k * 2.0 ** -8 for k in range(17)]
-    res = inner_product(a, b, sr_config(11, 4), RngStream(2, 0), trace=True)
+    with recorded_sr_roundings() as records:
+        res = inner_product(a, b, sr_config(11, 4), RngStream(2, 0))
     assert res.op_count == 33
-    assert len(res.records) == 33
+    assert len(records) == 33
 
 
 def test_dot_full_distribution_enumerable():
@@ -256,14 +260,17 @@ def test_dot_non_finite_product_reports_index(cfg, index):
 def test_trace_records_every_sr_rounding_and_no_rn_rounding():
     # partial sums 2 and 3 are on the p=11 grid: recorded, but nothing drawn
     vec = [1.0, 1.0, 1.0, 2.0 ** -12, 1.0]
-    res = recursive_sum(vec, sr_config(11, 3), RngStream(4, 0), trace=True)
-    assert len(res.records) == res.op_count == 4
-    assert [r.delta for r in res.records[:2]] == [0.0, 0.0]
-    res = inner_product(vec, vec, sr_config(11, 3), RngStream(4, 0), trace=True)
-    assert len(res.records) == res.op_count == 9
-    assert recursive_sum(vec, rn_config(11), RngStream(4, 0), trace=True).records == []
-    assert inner_product(vec, vec, rn_config(11), RngStream(4, 0), trace=True).records == []
-    assert recursive_sum(vec, sr_config(11, 3), RngStream(4, 0)).records is None
+    with recorded_sr_roundings() as records:
+        res = recursive_sum(vec, sr_config(11, 3), RngStream(4, 0))
+    assert len(records) == res.op_count == 4
+    assert [delta for _, _, delta, _ in records[:2]] == [0.0, 0.0]
+    with recorded_sr_roundings() as records:
+        res = inner_product(vec, vec, sr_config(11, 3), RngStream(4, 0))
+    assert len(records) == res.op_count == 9
+    with recorded_sr_roundings() as records:
+        recursive_sum(vec, rn_config(11), RngStream(4, 0))
+        inner_product(vec, vec, rn_config(11), RngStream(4, 0))
+    assert records == []
 
 
 
@@ -274,7 +281,7 @@ def _gd_reference(x0, t, iters, cfg, rng) -> GdTrajectory:
     """The descent loop evaluated through ``rosenbrock_f``, ``rosenbrock_grad``
     and ``round_nearest``: the reference ``gd_rosenbrock`` must reproduce."""
     fmt = cfg.fmt
-    step = _stepper(cfg, None)
+    step = _stepper(cfg)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
     iterates, losses, diverged = [], [], False

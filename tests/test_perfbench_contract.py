@@ -2,10 +2,10 @@
 
 perfbench reaches srlab through the names it shims (``kernels.sr_round``,
 ``kernels.round_nearest``, ``experiments.gd_rosenbrock`` called with the
-config at ``args[3]``, ...) and checks closed-form counters on every
-traced batch.  A kernel that goes around those names fails that run while
-the rest of the suite passes, so one traced batch of each CLI workload
-runs here, exactly as ``perfbench/run.py --trace 1`` starts it.
+config at ``args[3]``, ``sr.sr_sample``, ...) and checks closed-form
+counters on every traced batch.  A kernel that goes around those names
+fails that run while the rest of the suite passes, so one traced batch of
+each workload runs here, exactly as ``perfbench/run.py --trace 1`` starts it.
 """
 
 import json
@@ -21,7 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 # workload -> (kernels.roundings, sr.rng.words) of one seed-1 batch
-COUNTS = {"rosenbrock-p11": (240_000, 199_509), "sum-p11": (99_484, 85_076)}
+COUNTS = {
+    "rosenbrock-p11": (240_000, 199_509),
+    "sum-p11": (99_484, 85_076),
+    "sr-sample": (0, 4_800_000),
+}
 
 SINGLE_THREAD = {
     name: "1"
