@@ -36,7 +36,6 @@ from .dyadic import (
 from .experiments import (
     ExperimentSpec,
     SummaryRow,
-    TrialResult,
     estimate_coverage,
     run_bounds_table,
     run_rosenbrock,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -171,6 +172,8 @@ def _check(command: str, opts):
     if command == "round":
         if opts["value"] is None:
             raise ValueError("--value is required")
+        if not math.isfinite(opts["value"]):
+            raise ValueError(f"--value must be finite, got {opts['value']!r}")
         if opts["samples"] < 0:
             raise ValueError(f"--samples must be >= 0, got {opts['samples']}")
         return sr_config(opts["p"], opts["r"])

@@ -83,14 +83,6 @@ class ExperimentSpec:
             raise ValueError("lambda must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    x: int          # n (problem size) or k (iteration index)
-    mode: str
-    value: float    # relative error, or loss for trajectories
-    trial: int
-
-
 class SummaryRow(NamedTuple):
     x: int
     mode: str
@@ -139,48 +131,65 @@ _TRIAL_KINDS = {
 }
 
 
-def run_trials(spec: ExperimentSpec) -> list[TrialResult]:
-    """Per-trial relative errors of the sum or dot kernel for every mode.
+def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
+    """Per-trial relative errors of the sum or dot kernel for every mode,
+    keyed by ``(n, mode label)`` and listed in trial order.
 
     Trial t uses ``RngStream(spec.seed, t)`` in a fixed order: draw the
     input columns for each n, take the exact reference, then run every mode
-    in turn on the same data.
+    in turn on the same data.  A fixed input's reference is taken once; a
+    fixed input whose exact value is zero has no relative error and raises
+    ValueError.
     """
     columns, reference, kernel = _TRIAL_KINDS[spec.kind]
     modes = [rn_config(spec.p)] + [sr_config(spec.p, r) for r in spec.r_list]
     fmt = FpFormat(spec.p)
-    fixed = None
+    fixed = fixed_exact = None
     if spec.input_file is not None:
         fixed = _load_vector_file(spec.input_file, fmt, columns)
-    grid = [len(fixed[0])] if fixed is not None else list(spec.n_grid)
-    out = []
+        fixed_exact = reference(*fixed)
+        if fixed_exact.sign == 0:
+            raise ValueError(f"the exact {spec.kind} of {spec.input_file!r} is zero,"
+                             " so its relative error is undefined")
+    grid = [len(fixed[0])] if fixed else spec.n_grid
+    errors = {(n, cfg.label): [] for n in grid for cfg in modes}
     for trial in range(spec.trials):
         rng = RngStream(spec.seed, trial)
         for n in grid:
             vecs = fixed or [_draw_uniform_p(rng, n, fmt) for _ in range(columns)]
-            exact = reference(*vecs)
+            exact = fixed_exact if fixed else reference(*vecs)
             for cfg in modes:
-                res = kernel(*vecs, cfg, rng, exact)
-                out.append(TrialResult(n, cfg.label, res.rel_error, trial))
-    return out
+                errors[n, cfg.label].append(kernel(*vecs, cfg, rng, exact).rel_error)
+    return errors
 
 
-def aggregate_trials(trials: list[TrialResult]) -> list[SummaryRow]:
-    """Mean and standard error per (x, mode), in first-seen order."""
-    groups: dict[tuple[int, str], list[float]] = {}
-    order: list[tuple[int, str]] = []
-    for t in trials:
-        key = (t.x, t.mode)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(t.value)
-    rows = []
-    for key in order:
-        vals = np.asarray(groups[key])
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        rows.append(SummaryRow(key[0], key[1], float(vals.mean()), stderr))
-    return rows
+def _summarize(values: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and standard error of each row of ``values`` over its last axis,
+    the trials.
+
+    One trial has zero spread, none where its value is NaN (the shared 0.0
+    and nan constants add no float object per row).  With more, each row is
+    first scaled in place by a power of two to a largest finite magnitude
+    below 1, so that neither the mean's sum nor the std's squares overflow;
+    scaling by a power of two is exact, so other results keep their bits.
+    """
+    trials = values.shape[-1]
+    if trials == 1:
+        means = values[..., 0].tolist()
+        return means, [math.nan if v != v else 0.0 for v in means]
+    mags = np.abs(values)
+    mags[~np.isfinite(mags)] = 0.0
+    shift = np.frexp(mags.max(axis=-1))[1]
+    np.ldexp(values, -shift[..., None], out=values)
+    means = np.ldexp(values.mean(axis=-1), shift).tolist()
+    stderrs = np.ldexp(values.std(axis=-1, ddof=1) / math.sqrt(trials), shift).tolist()
+    return means, stderrs
+
+
+def aggregate_trials(errors: dict[tuple[int, str], list[float]]) -> list[SummaryRow]:
+    """Mean and standard error per ``(n, mode)`` key of ``run_trials``, in key order."""
+    means, stderrs = _summarize(np.array(list(errors.values())))
+    return [SummaryRow(n, mode, m, se) for (n, mode), m, se in zip(errors, means, stderrs)]
 
 
 def run_sum_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
@@ -211,34 +220,19 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
     """
     rows: list[SummaryRow] = []
     npoints = spec.iters + 1
-
-    def losses_of(cfg: SrConfig, trial: int) -> np.ndarray:
-        rng = RngStream(spec.seed, trial)
-        traj = gd_rosenbrock(start, spec.step, spec.iters, cfg, rng)
-        out = np.full(npoints, math.nan)
-        out[: len(traj.loss_series)] = traj.loss_series
-        return out
-
     modes = [(rn_config(53), 1), (rn_config(spec.p), 1)]
     modes += [(sr_config(spec.p, r), spec.trials) for r in spec.r_list]
     for cfg, trials in modes:
-        if trials == 1:
-            # one run: zero spread, none once it has diverged (the shared
-            # 0.0 and nan constants add no float object per row)
-            mean = losses_of(cfg, 0).tolist()
-            se = [math.nan if v != v else 0.0 for v in mean]
-        else:
-            stacked = np.vstack([losses_of(cfg, trial) for trial in range(trials)])
-            # Scale each column to a largest finite magnitude below 1, so that
-            # neither mean's sum nor std's squares overflow; scaling by a power
-            # of two is exact, so other results keep their bits.
-            mags = np.abs(stacked)
-            mags[~np.isfinite(mags)] = 0.0
-            shift = np.frexp(mags.max(axis=0))[1]
-            np.ldexp(stacked, -shift, out=stacked)
-            mean = np.ldexp(stacked.mean(axis=0), shift).tolist()
-            se = np.ldexp(stacked.std(axis=0, ddof=1) / math.sqrt(trials), shift).tolist()
-        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), mean, se))
+        losses = np.full((trials, npoints), math.nan)
+        for trial, row in enumerate(losses):
+            series = gd_rosenbrock(start, spec.step, spec.iters, cfg,
+                                   RngStream(spec.seed, trial)).loss_series
+            row[: len(series)] = series
+            # a trajectory or its losses kept alive while the next one runs
+            # raises the peak memory and slows the descent
+            del series
+        means, stderrs = _summarize(losses.T)
+        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), means, stderrs))
     return rows
 
 

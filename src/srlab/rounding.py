@@ -20,7 +20,7 @@ SUBSTRATE_WIDTH = 53
 
 _TWO53 = float(1 << 53)
 _DBL_MIN = math.ldexp(1.0, -1022)  # smallest normal binary64
-# round_nearest splits |x| in (_SPLIT_MIN, _SPLIT_MAX) with float operations
+# round_nearest(_array) splits |x| in (_SPLIT_MIN, _SPLIT_MAX) with float operations
 _SPLIT_MIN = math.ldexp(1.0, -960)
 _SPLIT_MAX = math.ldexp(1.0, 960)
 
@@ -140,32 +140,21 @@ def round_nearest(x: float, fmt: FpFormat) -> float:
     return _rebuild(x < 0, sig + (rem + (sig & 1) > half), exp)
 
 
-_EXP_FIELD = np.uint64(0x7FF)  # the binary64 exponent field, after a shift by 52
-
-
 def round_nearest_array(x, fmt: FpFormat) -> np.ndarray:
     """``round_nearest`` of every element of a 1-d float64 array, as an array.
 
-    Normal inputs round on the bit pattern, as in the ``chop`` emulator of
-    Higham and Pranesh (SIAM J. Sci. Comput., 2019): adding half an ulp less
-    one, plus the kept part's last bit, to the binary64 word and clearing
-    the 53-p dropped bits carries into the exponent field exactly when the
-    significand does.  Zero, subnormal and non-finite inputs, and results
-    that reach the infinity pattern, are rounded by ``round_nearest``, so
-    values and exceptions are those of the scalar loop.
+    Lanes with ``2**-960 < |x| < 2**960`` take ``round_nearest``'s Veltkamp
+    split, ``c - (c - x)`` with ``c = x * fmt.split``, elementwise.  Every
+    other lane is rounded by ``round_nearest`` itself, and stands in as 1.0
+    in the split so that no inf, nan or huge element warns; values and
+    exceptions are those of the scalar loop.
     """
     x = np.asarray(x, dtype=np.float64)
-    s = SUBSTRATE_WIDTH - fmt.p
-    bits = x.view(np.uint64)
-    if s:
-        lsb = (bits >> np.uint64(s)) & np.uint64(1)
-        out = (bits + np.uint64((1 << (s - 1)) - 1) + lsb) & ~np.uint64((1 << s) - 1)
-    else:
-        out = bits.copy()
-    e_in = (bits >> np.uint64(52)) & _EXP_FIELD
-    e_out = (out >> np.uint64(52)) & _EXP_FIELD
-    scalar = (e_in == 0) | (e_in == _EXP_FIELD) | (e_out == _EXP_FIELD)
-    out = out.view(np.float64)
-    for i in np.flatnonzero(scalar):
+    mag = np.abs(x)
+    cold = ~((_SPLIT_MIN < mag) & (mag < _SPLIT_MAX))
+    xs = np.where(cold, 1.0, x)
+    c = xs * fmt.split
+    out = c - (c - xs)
+    for i in np.flatnonzero(cold):
         out[i] = round_nearest(float(x[i]), fmt)
     return out

@@ -186,7 +186,7 @@ def test_criterion_05_probabilistic_coverage(sum_experiment):
     failures = []
     floor = 0.9 - 3.0 * math.sqrt(0.09 / SUM_TRIALS)
     for n in spec.n_grid:
-        errors = [t.value for t in trials if t.x == n and t.mode == "sr7"]
+        errors = trials[n, "sr7"]
         bound = bc_bound_sum(BoundQuery(n=n, p=11, r=7, lam=0.1))
         cov = estimate_coverage(errors, bound)
         if cov < floor:
@@ -196,7 +196,7 @@ def test_criterion_05_probabilistic_coverage(sum_experiment):
     )
     dot_trials = run_trials(dot_spec)
     for n in dot_spec.n_grid:
-        errors = [t.value for t in dot_trials if t.x == n and t.mode == "sr7"]
+        errors = dot_trials[n, "sr7"]
         bound = bc_bound_inner(BoundQuery(n=n, p=11, r=7, lam=0.1))
         cov = estimate_coverage(errors, bound)
         if cov < floor:

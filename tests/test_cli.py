@@ -60,6 +60,26 @@ def test_round_range_error_exits_1(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, text",
+    [("sum", f"1\n{2.0**-11!r}\n-1\n{-2.0**-11!r}\n"), ("dot", "1, 1\n1, -1\n")],
+    ids=["sum", "dot"],
+)
+def test_input_file_with_zero_exact_value_exits_1(kind, text, tmp_path, capsys):
+    # the relative error of a result whose exact value is zero is undefined
+    data = tmp_path / "vec.txt"
+    data.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        [kind, "--r", "3", "--trials", "2", "--input-file", str(data), "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and "is zero" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["round", "--value", "1.0", "--nope", "3"])
@@ -90,6 +110,9 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["rosenbrock", "--r", "3,3"],
         ["rosenbrock", "--start", "nan,0", "--iters", "3", "--trials", "2", "--r", "3"],
         ["rosenbrock", "--start", "1e400,1", "--iters", "3", "--trials", "2", "--r", "3"],
+        ["round", "--value", "nan"],
+        ["round", "--value", "inf"],
+        ["round", "--value", "1e400", "--p", "8"],
     ],
     ids=" ".join,
 )

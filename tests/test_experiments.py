@@ -60,11 +60,9 @@ def test_single_trial_rn_column_deterministic():
 
 
 def test_trial_results_paired_across_modes():
-    trials = run_trials(replace(TINY_SUM, trials=3))
-    keys = {(t.x, t.mode, t.trial) for t in trials}
-    assert len(keys) == len(trials)
-    for t in trials:
-        assert t.trial in (0, 1, 2)
+    errors = run_trials(replace(TINY_SUM, trials=3))
+    assert list(errors) == [(n, m) for n in (10, 30) for m in ("rn", "sr3", "sr7")]
+    assert all(len(trials) == 3 for trials in errors.values())
 
 
 def test_dot_experiment_structure():
@@ -176,9 +174,9 @@ def test_input_file_fixes_vector(tmp_path):
     spec = ExperimentSpec(
         kind="sum", p=11, r_list=(3,), trials=2, seed=5, input_file=str(data)
     )
-    trials = run_trials(spec)
-    assert {t.x for t in trials} == {3}
-    rows = aggregate_trials(trials)
+    errors = run_trials(spec)
+    assert {n for n, _ in errors} == {3}
+    rows = aggregate_trials(errors)
     assert all(r.value == 0.0 for r in rows)  # sums of these are exact at p=11
 
 
@@ -188,8 +186,8 @@ def test_input_file_dot(tmp_path):
     spec = ExperimentSpec(
         kind="dot", p=11, r_list=(3,), trials=2, seed=5, input_file=str(data)
     )
-    trials = run_trials(spec)
-    assert {t.x for t in trials} == {2}
+    errors = run_trials(spec)
+    assert {n for n, _ in errors} == {2}
 
 
 class _WordStream:
@@ -252,3 +250,22 @@ def test_rosenbrock_start_overflow_rows_are_nan():
     rows = run_rosenbrock(spec, (1e200, 0.0))
     assert len(rows) == 4 * 3
     assert all(math.isnan(r.value) for r in rows)
+
+
+def test_sum_aggregation_of_huge_errors_is_finite(tmp_path):
+    # the exact sum is 2**-1000 while the sr3 sums miss it by about 2**-12,
+    # so the relative errors are near 1e297; squaring their deviations must
+    # not overflow to an inf spread
+    data = tmp_path / "vec.txt"
+    data.write_text("".join(f"{v!r}\n" for v in (1.0, 2.0**-12, -1.0, -2.0**-12, 2.0**-1000)))
+    spec = ExperimentSpec(
+        kind="sum", p=11, r_list=(3, 7), trials=8, seed=1, input_file=str(data)
+    )
+    errors = run_trials(spec)
+    row = next(r for r in aggregate_trials(errors) if r.mode == "sr3")
+    assert (row.value, row.stderr) == (3.2699847631416849e297, 6.5399695262833699e296)
+    # the same statistics of the errors scaled by hand
+    scaled = np.ldexp(np.array(errors[5, "sr3"]), -1000)
+    assert row.value == math.ldexp(float(scaled.mean()), 1000)
+    assert row.stderr == math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(8), 1000)
+

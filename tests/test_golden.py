@@ -5,7 +5,8 @@ were refactored, ``sum-refill`` before the scalar rounding core and the
 list-served random words were, and ``rosenbrock-diverge`` after a start
 whose loss is inf became a divergence and diverged baselines got stderr
 NaN, and ``rosenbrock-one-trial`` before the Rosenbrock baselines and
-stochastic modes shared one loop; a change that alters any byte a run writes
+stochastic modes shared one loop, and the two nine-trial cases before sum,
+dot and Rosenbrock shared one summary of their trials; a change that alters any byte a run writes
 for the same flags and seed fails here.  When output bytes change on purpose, record the
 new digests with ``python tests/test_golden.py`` and say why in CHANGES.md.
 """
@@ -49,6 +50,12 @@ CASES = {
     # every mode, the SR ones included, runs once
     "rosenbrock-one-trial": ["rosenbrock", "--p", "11", "--r", "3,ideal", "--iters", "40",
                              "--trials", "1", "--seed", "2"],
+    # nine trials are past numpy's pairwise block of eight, so a mean or
+    # std that summed the trials in another order would change some bits
+    "sum-nine-trials": ["sum", "--p", "8", "--r", "2,5,ideal", "--n-grid", "10,50",
+                        "--trials", "9", "--seed", "4"],
+    "rosenbrock-nine-trials": ["rosenbrock", "--p", "11", "--r", "3,ideal", "--iters", "40",
+                               "--trials", "9", "--seed", "2"],
 }
 
 GOLDEN = {
@@ -77,6 +84,13 @@ GOLDEN = {
     "rosenbrock-one-trial": {
         "rosenbrock_p11_r3-ideal_start0-0.csv": "4409084d0b534e6ec31e339e821f7abfe4be9fed6f64f72f868eb4a7b92a46dc",
         "rosenbrock_p11_r3-ideal_start0.5-0.5.csv": "fd6985d9b5f161a0415b9938d4cbfe3075ced3cd643a70276fe74bf902bd1234",
+    },
+    "sum-nine-trials": {
+        "sum_p8_r2-5-ideal.csv": "e8c0de00f1e7a2bba0da1089f9f22307473e68507305a250ceed91d20bd00bef",
+    },
+    "rosenbrock-nine-trials": {
+        "rosenbrock_p11_r3-ideal_start0-0.csv": "2a42b8c480d2987a95d88b383d38a3fcff52e934d796f153d3e5467616e86224",
+        "rosenbrock_p11_r3-ideal_start0.5-0.5.csv": "c2a3e944d7ccd61ea54a2a0a146f07eddcb28758a805bb1a074dee410fb4db83",
     },
 }
 
