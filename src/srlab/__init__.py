@@ -35,7 +35,6 @@ from .dyadic import (
 )
 from .experiments import (
     ExperimentSpec,
-    SummaryRow,
     estimate_coverage,
     run_bounds_table,
     run_rosenbrock,

@@ -220,6 +220,7 @@ def _experiment(spec: experiments.ExperimentSpec) -> None:
         elapsed = time.perf_counter() - t0
         path = Path(spec.out_dir) / experiments.csv_name(spec, start)
         experiments.write_rows(path, rows)
+        del rows  # one start's rows need not live through the next start's run
         print(f"wrote {path} ({elapsed:.2f}s)")
 
 

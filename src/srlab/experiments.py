@@ -14,7 +14,6 @@ import tempfile
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,9 @@ from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_conf
 _INV_2_53 = 2.0 ** -53
 
 DEFAULT_STARTS = ((0.0, 0.0), (0.5, 0.5))
+
+# one CSV line, as every runner returns it: (n_or_k, mode, value, stderr)
+Row = tuple[int, str, float, float]
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,13 @@ class ExperimentSpec:
         if not self.step > 0:
             raise ValueError("t must be positive")
         for start in self.starts:
-            if not all(map(math.isfinite, start)):
-                raise ValueError(f"start point must be finite, got {start}")
+            if len(start) != 2 or not all(map(math.isfinite, start)):
+                raise ValueError(f"start point must be two finite coordinates, got {start}")
+        # each start writes its own CSV; two starts with one name would share it
+        if len({csv_name(self, start) for start in self.starts}) != len(self.starts):
+            raise ValueError(f"two start points share one CSV name: {self.starts}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")
-
-
-class SummaryRow(NamedTuple):
-    x: int
-    mode: str
-    value: float
-    stderr: float
 
 
 def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:
@@ -186,39 +184,39 @@ def _summarize(values: np.ndarray) -> tuple[list[float], list[float]]:
     return means, stderrs
 
 
-def aggregate_trials(errors: dict[tuple[int, str], list[float]]) -> list[SummaryRow]:
+def aggregate_trials(errors: dict[tuple[int, str], list[float]]) -> list[Row]:
     """Mean and standard error per ``(n, mode)`` key of ``run_trials``, in key order."""
     means, stderrs = _summarize(np.array(list(errors.values())))
-    return [SummaryRow(n, mode, m, se) for (n, mode), m, se in zip(errors, means, stderrs)]
+    return [(n, mode, m, se) for (n, mode), m, se in zip(errors, means, stderrs)]
 
 
-def run_sum_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
+def run_sum_experiment(spec: ExperimentSpec) -> list[Row]:
     """Mean relative error per (n, mode) of the recursive sum (kind ``sum``)
     or of the inner product (kind ``dot``)."""
     return aggregate_trials(run_trials(spec))
 
 
-def run_bounds_table(spec: ExperimentSpec) -> list[SummaryRow]:
+def run_bounds_table(spec: ExperimentSpec) -> list[Row]:
     """Deterministic and probabilistic bound values on the n grid (kappa = 1)."""
     rows = []
     for n in spec.n_grid:
-        rows.append(SummaryRow(n, "det", bounds.det_bound_sum(n, spec.p), 0.0))
+        rows.append((n, "det", bounds.det_bound_sum(n, spec.p), 0.0))
         for r in spec.r_list:
             q = bounds.BoundQuery(n=n, p=spec.p, r=r, lam=spec.lam)
             tag = "ideal" if r == IDEAL else str(r)
-            rows.append(SummaryRow(n, f"ah_sr{tag}", bounds.ah_bound_sum(q), 0.0))
-            rows.append(SummaryRow(n, f"bc_sr{tag}", bounds.bc_bound_sum(q), 0.0))
+            rows.append((n, f"ah_sr{tag}", bounds.ah_bound_sum(q), 0.0))
+            rows.append((n, f"bc_sr{tag}", bounds.bc_bound_sum(q), 0.0))
     return rows
 
 
-def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[SummaryRow]:
+def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Row]:
     """Loss-per-iteration table: binary64 and precision-p RN baselines once,
     stochastic modes averaged over spec.trials runs.
 
     Iterations past a diverged trajectory are reported as NaN, with a NaN
     stderr.
     """
-    rows: list[SummaryRow] = []
+    rows: list[Row] = []
     npoints = spec.iters + 1
     modes = [(rn_config(53), 1), (rn_config(spec.p), 1)]
     modes += [(sr_config(spec.p, r), spec.trials) for r in spec.r_list]
@@ -232,7 +230,7 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Sum
             # raises the peak memory and slows the descent
             del series
         means, stderrs = _summarize(losses.T)
-        rows.extend(map(SummaryRow, range(npoints), repeat(cfg.label), means, stderrs))
+        rows.extend(zip(range(npoints), repeat(cfg.label), means, stderrs))
     return rows
 
 
@@ -255,7 +253,7 @@ def csv_name(spec: ExperimentSpec, start: tuple[float, float] | None = None) -> 
     return name + ".csv"
 
 
-def write_rows(path: str | Path, rows: list[SummaryRow]) -> Path:
+def write_rows(path: str | Path, rows: list[Row]) -> Path:
     """Write summary rows as CSV (17 significant digits), atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,8 @@ loop evaluates each iterate's loss and the next gradient from one shared
 ``d = x2 - x1*x1``, with the operations of ``rosenbrock_f`` and
 ``rosenbrock_grad`` in their order, and rounds the gradient with
 ``round_nearest``'s Veltkamp split inline; every other gradient value
-goes to ``round_nearest`` itself.
+goes to ``round_nearest`` itself.  The iterates are kept as two float
+lists, with no per-point tuple for the garbage collector to track.
 """
 
 from __future__ import annotations
@@ -43,10 +44,17 @@ class KernelResult:
 
 @dataclass
 class GdTrajectory:
-    iterates: list[tuple[float, float]]
+    """The iterates of one descent as two coordinate lists, one loss each."""
+
+    x1: list[float]
+    x2: list[float]
     loss_series: list[float]
     mode: str
     diverged: bool = False
+
+    @property
+    def iterates(self) -> list[tuple[float, float]]:
+        return list(zip(self.x1, self.x2))
 
 
 def _check_inputs(label: str, values, cfg: SrConfig) -> None:
@@ -170,8 +178,7 @@ def gd_rosenbrock(
     step = _stepper(cfg)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
-    iterates: list[tuple[float, float]] = []
-    losses: list[float] = []
+    xs1, xs2, losses = [], [], []
     diverged = False
     try:
         # rosenbrock_f and rosenbrock_grad, sharing d: ** raises
@@ -182,7 +189,8 @@ def gd_rosenbrock(
         for _ in range(iters):
             if not math.isfinite(loss):
                 break
-            iterates.append((x1, x2))
+            xs1.append(x1)
+            xs2.append(x2)
             losses.append(loss)
             g1 = -2.0 * (1.0 - x1) - 400.0 * x1 * d
             g2 = 200.0 * d
@@ -203,10 +211,11 @@ def gd_rosenbrock(
             d = x2 - x1 * x1
             loss = (1.0 - x1) ** 2 + 100.0 * d * d
         if math.isfinite(loss):
-            iterates.append((x1, x2))
+            xs1.append(x1)
+            xs2.append(x2)
             losses.append(loss)
         else:
             diverged = True
     except (SubstrateRangeError, ValueError, OverflowError):
         diverged = True
-    return GdTrajectory(iterates, losses, cfg.label, diverged)
+    return GdTrajectory(xs1, xs2, losses, cfg.label, diverged)

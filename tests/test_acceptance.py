@@ -157,27 +157,27 @@ def sum_experiment():
         seed=31415,
     )
     trials = run_trials(spec)
-    by = {(row.x, row.mode): row for row in aggregate_trials(trials)}
+    by = {(n, mode): (value, stderr) for n, mode, value, stderr in aggregate_trials(trials)}
     return spec, trials, by
 
 
 def test_criterion_04_summation_error_vs_mode(sum_experiment):
     spec, _, by = sum_experiment
     failures = []
-    rn = by[(6000, "rn")].value
-    sr7 = by[(6000, "sr7")].value
+    rn, _ = by[(6000, "rn")]
+    sr7, _ = by[(6000, "sr7")]
     if not rn >= 10.0 * sr7:
         failures.append(f"(a) rn {rn:.3g} < 10 x sr7 {sr7:.3g} at n=6000")
     labels = ["sr3", "sr6", "sr7", "sr8", "sr10", "sr_ideal"]
     for n in spec.n_grid:
         for lab1, lab2 in zip(labels, labels[1:]):
-            a, b = by[(n, lab1)], by[(n, lab2)]
-            slack = 3.0 * math.hypot(a.stderr, b.stderr)
-            if b.value > a.value + slack:
-                failures.append(f"(b) n={n}: {lab2} {b.value:.3g} > {lab1} {a.value:.3g} + 3se")
-        r10, ideal = by[(n, "sr10")], by[(n, "sr_ideal")]
-        if r10.value > 2.0 * ideal.value:
-            failures.append(f"(c) n={n}: sr10 {r10.value:.3g} > 2 x ideal {ideal.value:.3g}")
+            (a, a_se), (b, b_se) = by[(n, lab1)], by[(n, lab2)]
+            slack = 3.0 * math.hypot(a_se, b_se)
+            if b > a + slack:
+                failures.append(f"(b) n={n}: {lab2} {b:.3g} > {lab1} {a:.3g} + 3se")
+        (r10, _), (ideal, _) = by[(n, "sr10")], by[(n, "sr_ideal")]
+        if r10 > 2.0 * ideal:
+            failures.append(f"(c) n={n}: sr10 {r10:.3g} > 2 x ideal {ideal:.3g}")
     _report(4, "summation: rn/sr gap, monotone in r, near-ideal at r=10", failures)
 
 

@@ -1,5 +1,8 @@
+import weakref
+
 import pytest
 
+from srlab import experiments
 from srlab.cli import main
 
 
@@ -217,6 +220,32 @@ def test_rosenbrock_cli_default_starts(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "rosenbrock_p11_r8_start0-0.csv").exists()
     assert (tmp_path / "rosenbrock_p11_r8_start0.5-0.5.csv").exists()
+
+
+def test_rosenbrock_cli_releases_each_start_rows(tmp_path, monkeypatch, capsys):
+    # one start's rows are written and dropped before the next start runs
+    class Rows(list):
+        pass
+
+    run = experiments.run_rosenbrock
+    refs, alive = [], []
+
+    def tracked(spec, start):
+        alive.append([ref() is not None for ref in refs])
+        rows = Rows(run(spec, start))
+        refs.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(experiments, "run_rosenbrock", tracked)
+    code, _, _ = run_cli(
+        [
+            "rosenbrock", "--p", "11", "--r", "8", "--iters", "5",
+            "--trials", "2", "--seed", "1", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert alive == [[], [False]]
 
 
 def test_bounds_table_cli(tmp_path, capsys):

@@ -8,7 +8,6 @@ from srlab.bounds import unit_roundoff
 from srlab.experiments import (
     _INV_2_53,
     ExperimentSpec,
-    SummaryRow,
     aggregate_trials,
     _draw_uniform_p,
     csv_name,
@@ -43,8 +42,8 @@ def test_sum_experiment_structure():
     rows = run_sum_experiment(TINY_SUM)
     modes = {"rn", "sr3", "sr7"}
     assert len(rows) == len(TINY_SUM.n_grid) * len(modes)
-    assert {r.mode for r in rows} == modes
-    assert all(r.value >= 0.0 and math.isfinite(r.value) for r in rows)
+    assert {mode for _, mode, _, _ in rows} == modes
+    assert all(v >= 0.0 and math.isfinite(v) for _, _, v, _ in rows)
 
 
 def test_sum_experiment_deterministic():
@@ -56,7 +55,7 @@ def test_sum_experiment_deterministic():
 def test_single_trial_rn_column_deterministic():
     spec = replace(TINY_SUM, trials=1, r_list=(3,))
     rows = run_sum_experiment(spec)
-    assert all(r.stderr == 0.0 for r in rows)
+    assert all(se == 0.0 for _, _, _, se in rows)
 
 
 def test_trial_results_paired_across_modes():
@@ -93,7 +92,7 @@ def test_bounds_table_rows():
         kind="bounds-table", p=11, r_list=(3, 7, IDEAL), n_grid=(2, 100, 1000), lam=0.1
     )
     rows = run_bounds_table(spec)
-    by = {(r.x, r.mode): r.value for r in rows}
+    by = {(n, mode): v for n, mode, v, _ in rows}
     assert len(rows) == 3 * (1 + 2 * 3)
     # n = 2 row: deterministic bound is u_p, bias tail enters the bc column
     assert by[(2, "det")] == pytest.approx(unit_roundoff(11), rel=1e-12)
@@ -112,10 +111,10 @@ def test_rosenbrock_rows_and_baseline():
     )
     rows = run_rosenbrock(spec, start=(1.0, 1.0))
     modes = {"fp64", "rn", "sr8"}
-    assert {r.mode for r in rows} == modes
+    assert {mode for _, mode, _, _ in rows} == modes
     assert len(rows) == 21 * len(modes)
     # starting at the minimum nothing moves in any mode
-    assert all(r.value == 0.0 for r in rows)
+    assert all(v == 0.0 for _, _, v, _ in rows)
 
 
 def test_rosenbrock_progress_from_origin():
@@ -123,14 +122,14 @@ def test_rosenbrock_progress_from_origin():
         kind="rosenbrock", p=11, r_list=(8,), iters=300, trials=4, seed=1
     )
     rows = run_rosenbrock(spec, start=(0.0, 0.0))
-    final = {r.mode: r.value for r in rows if r.x == 300}
-    first = {r.mode: r.value for r in rows if r.x == 0}
+    final = {mode: v for k, mode, v, _ in rows if k == 300}
+    first = {mode: v for k, mode, v, _ in rows if k == 0}
     assert final["fp64"] < first["fp64"]
     assert final["sr8"] < first["sr8"]
 
 
 def test_csv_format(tmp_path):
-    rows = [SummaryRow(10, "rn", 1.0 / 3.0, 0.25), SummaryRow(20, "sr3", 2.0, 0.0)]
+    rows = [(10, "rn", 1.0 / 3.0, 0.25), (20, "sr3", 2.0, 0.0)]
     path = write_rows(tmp_path / "out.csv", rows)
     text = path.read_text().splitlines()
     assert text[0] == "n_or_k,mode,value,stderr"
@@ -145,7 +144,7 @@ _EDGE_VALUES = [
 
 
 def test_csv_lines_match_format_rendering(tmp_path):
-    rows = [SummaryRow(k, "sr3", v, 0.0) for k, v in enumerate(_EDGE_VALUES)]
+    rows = [(k, "sr3", v, 0.0) for k, v in enumerate(_EDGE_VALUES)]
     path = write_rows(tmp_path / "edge.csv", rows)
     want = "n_or_k,mode,value,stderr\n" + "".join(
         f"{k},sr3,{v:.17g},{0.0:.17g}\n" for k, v in enumerate(_EDGE_VALUES)
@@ -168,6 +167,50 @@ def test_csv_name():
     assert csv_name(spec, (0.5, 0.5)) == "rosenbrock_p11_r3-ideal_start0.5-0.5.csv"
 
 
+@pytest.mark.parametrize(
+    "starts",
+    [((0.1234567, 0.0), (0.1234568, 0.0)), ((0.5, 0.5), (0.5, 0.5))],
+    ids=["same-6-digits", "duplicate"],
+)
+def test_starts_sharing_a_csv_name_are_rejected(starts):
+    # the second start's CSV would overwrite the first one's
+    assert len({csv_name(ExperimentSpec("rosenbrock"), s) for s in starts}) == 1
+    with pytest.raises(ValueError, match="share one CSV name"):
+        ExperimentSpec("rosenbrock", starts=starts)
+
+
+@pytest.mark.parametrize("start", [(0.5,), (0.5, 0.5, 7.0)], ids=["one", "three"])
+def test_start_points_have_two_coordinates(start):
+    with pytest.raises(ValueError, match="two finite coordinates"):
+        ExperimentSpec("rosenbrock", starts=(start,))
+
+
+_RUNNERS = {
+    "sum": lambda: run_sum_experiment(TINY_SUM),
+    "sum-one-trial": lambda: run_sum_experiment(replace(TINY_SUM, trials=1)),
+    "dot": lambda: run_sum_experiment(replace(TINY_SUM, kind="dot")),
+    "bounds-table": lambda: run_bounds_table(
+        ExperimentSpec(kind="bounds-table", r_list=(3, IDEAL), n_grid=(2, 100))
+    ),
+    "rosenbrock": lambda: run_rosenbrock(
+        ExperimentSpec(kind="rosenbrock", r_list=(3,), iters=20, trials=2), (0.5, 0.5)
+    ),
+    "rosenbrock-diverging": lambda: run_rosenbrock(
+        ExperimentSpec(kind="rosenbrock", r_list=(3,), iters=50, step=0.01, trials=2),
+        (0.5, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", list(_RUNNERS))
+def test_runners_return_plain_tuple_rows(runner):
+    rows = _RUNNERS[runner]()
+    assert rows
+    for row in rows:
+        assert type(row) is tuple
+        assert [type(v) for v in row] == [int, str, float, float]
+
+
 def test_input_file_fixes_vector(tmp_path):
     data = tmp_path / "vec.txt"
     data.write_text("# fixed input\n0.5\n0.25\n1.0\n")
@@ -177,7 +220,7 @@ def test_input_file_fixes_vector(tmp_path):
     errors = run_trials(spec)
     assert {n for n, _ in errors} == {3}
     rows = aggregate_trials(errors)
-    assert all(r.value == 0.0 for r in rows)  # sums of these are exact at p=11
+    assert all(v == 0.0 for _, _, v, _ in rows)  # sums of these are exact at p=11
 
 
 def test_input_file_dot(tmp_path):
@@ -231,25 +274,25 @@ def test_rosenbrock_aggregation_of_huge_losses_is_finite():
     spec = ExperimentSpec(
         kind="rosenbrock", p=11, r_list=(3,), iters=50, step=0.01, trials=2, seed=1
     )
-    rows = [r for r in run_rosenbrock(spec, (0.5, 0.5)) if r.mode == "sr3"]
-    big = [r for r in rows if math.isfinite(r.value) and r.value > 1e200]
+    big = [(k, value, stderr) for k, mode, value, stderr in run_rosenbrock(spec, (0.5, 0.5))
+           if mode == "sr3" and math.isfinite(value) and value > 1e200]
     assert big
-    for row in big:
+    for k, value, stderr in big:
         a, b = (
             gd_rosenbrock((0.5, 0.5), 0.01, 50, sr_config(11, 3), RngStream(1, t))
-            .loss_series[row.x]
+            .loss_series[k]
             for t in range(2)
         )
         # two trials: mean (a+b)/2 and standard error |a-b|/2
-        assert row.value == a / 2 + b / 2
-        assert row.stderr == pytest.approx(abs(a - b) / 2, rel=1e-15)
+        assert value == a / 2 + b / 2
+        assert stderr == pytest.approx(abs(a - b) / 2, rel=1e-15)
 
 
 def test_rosenbrock_start_overflow_rows_are_nan():
     spec = ExperimentSpec(kind="rosenbrock", p=11, r_list=(3,), iters=3, trials=2)
     rows = run_rosenbrock(spec, (1e200, 0.0))
     assert len(rows) == 4 * 3
-    assert all(math.isnan(r.value) for r in rows)
+    assert all(math.isnan(v) for _, _, v, _ in rows)
 
 
 def test_sum_aggregation_of_huge_errors_is_finite(tmp_path):
@@ -262,10 +305,10 @@ def test_sum_aggregation_of_huge_errors_is_finite(tmp_path):
         kind="sum", p=11, r_list=(3, 7), trials=8, seed=1, input_file=str(data)
     )
     errors = run_trials(spec)
-    row = next(r for r in aggregate_trials(errors) if r.mode == "sr3")
-    assert (row.value, row.stderr) == (3.2699847631416849e297, 6.5399695262833699e296)
+    _, _, value, stderr = next(row for row in aggregate_trials(errors) if row[1] == "sr3")
+    assert (value, stderr) == (3.2699847631416849e297, 6.5399695262833699e296)
     # the same statistics of the errors scaled by hand
     scaled = np.ldexp(np.array(errors[5, "sr3"]), -1000)
-    assert row.value == math.ldexp(float(scaled.mean()), 1000)
-    assert row.stderr == math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(8), 1000)
+    assert value == math.ldexp(float(scaled.mean()), 1000)
+    assert stderr == math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(8), 1000)
 

@@ -284,13 +284,14 @@ def _gd_reference(x0, t, iters, cfg, rng) -> GdTrajectory:
     step = _stepper(cfg)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
-    iterates, losses, diverged = [], [], False
+    xs1, xs2, losses, diverged = [], [], [], False
     try:
         loss = rosenbrock_f((x1, x2))
         for _ in range(iters):
             if not math.isfinite(loss):
                 break
-            iterates.append((x1, x2))
+            xs1.append(x1)
+            xs2.append(x2)
             losses.append(loss)
             g1, g2 = rosenbrock_grad((x1, x2))
             g1 = round_nearest(g1, fmt)
@@ -299,13 +300,14 @@ def _gd_reference(x0, t, iters, cfg, rng) -> GdTrajectory:
             x2 = step(x2 - t * g2, cfg, rng)
             loss = rosenbrock_f((x1, x2))
         if math.isfinite(loss):
-            iterates.append((x1, x2))
+            xs1.append(x1)
+            xs2.append(x2)
             losses.append(loss)
         else:
             diverged = True
     except (SubstrateRangeError, ValueError, OverflowError):
         diverged = True
-    return GdTrajectory(iterates, losses, cfg.label, diverged)
+    return GdTrajectory(xs1, xs2, losses, cfg.label, diverged)
 
 
 _GD_STARTS = [
@@ -334,6 +336,10 @@ def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
     assert [(a.hex(), b.hex()) for a, b in got.iterates] == [
         (a.hex(), b.hex()) for a, b in want.iterates
     ]
+    # the iterates are two coordinate lists, one point per loss
+    assert len(got.x1) == len(got.x2) == len(got.loss_series)
+    assert all(type(v) is float for v in got.x1 + got.x2)
+    assert got.iterates == list(zip(got.x1, got.x2))
     assert [v.hex() for v in got.loss_series] == [v.hex() for v in want.loss_series]
     assert got.diverged == want.diverged
     assert got.mode == want.mode
