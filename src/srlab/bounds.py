@@ -32,7 +32,9 @@ class BoundQuery:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         # any r >= 1 gives a bound, also past the 53 - p substrate bits
-        if self.r != IDEAL and not (isinstance(self.r, int) and self.r >= 1):
+        if self.r != IDEAL and not (
+            isinstance(self.r, int) and not isinstance(self.r, bool) and self.r >= 1
+        ):
             raise ValueError(f"r must be IDEAL or an integer >= 1, got {self.r!r}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bounds, experiments
 from .dyadic import dy_from_float, dy_q
 from .rounding import SubstrateRangeError, round_down, round_up, truncate, ulp
-from .sr import IDEAL, RngStream, sr_config, sr_sample
+from .sr import IDEAL, RngStream, check_key, sr_config, sr_sample
 
 
 def _parse_r_value(token: str):
@@ -176,6 +176,7 @@ def _check(command: str, opts):
             raise ValueError(f"--value must be finite, got {opts['value']!r}")
         if opts["samples"] < 0:
             raise ValueError(f"--samples must be >= 0, got {opts['samples']}")
+        check_key("seed", opts["seed"])
         return sr_config(opts["p"], opts["r"])
     if command == "suggest-r":
         if opts["n"] is None:

@@ -21,7 +21,9 @@ from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
 from .rounding import FpFormat, round_nearest, round_nearest_array
-from .sr import IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config
+from .sr import (
+    IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, check_key, rn_config, sr_config,
+)
 
 _INV_2_53 = 2.0 ** -53
 
@@ -86,6 +88,7 @@ class ExperimentSpec:
             raise ValueError(f"two start points share one CSV name: {self.starts}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")
+        check_key("seed", self.seed)
 
 
 def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:

@@ -20,7 +20,8 @@ SUBSTRATE_WIDTH = 53
 
 _TWO53 = float(1 << 53)
 _DBL_MIN = math.ldexp(1.0, -1022)  # smallest normal binary64
-# round_nearest(_array) splits |x| in (_SPLIT_MIN, _SPLIT_MAX) with float operations
+# round_nearest(_array) and sr.sr_round round |x| in (_SPLIT_MIN, _SPLIT_MAX) with
+# float operations only
 _SPLIT_MIN = math.ldexp(1.0, -960)
 _SPLIT_MAX = math.ldexp(1.0, 960)
 

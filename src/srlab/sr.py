@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import frexp, ldexp
+from math import fmod, ldexp, ulp
 
 import numpy as np
 
 from .rounding import (
+    _SPLIT_MAX,
+    _SPLIT_MIN,
     SUBSTRATE_WIDTH,
     _DBL_MIN,
-    _TWO53,
     FpFormat,
     SubstrateRangeError,
     _decode,
@@ -44,6 +45,12 @@ _BLOCK = 512
 _MASK64 = (1 << 64) - 1
 
 
+def check_key(name: str, value: int) -> None:
+    """ValueError unless value is a Philox key word, an integer in [0, 2**64)."""
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+
+
 class RngStream:
     """Reproducible, splittable source of uniform random bits.
 
@@ -52,9 +59,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        check_key("seed", seed)
+        check_key("stream_id", stream_id)
         self.seed = seed
         self.stream_id = stream_id
-        key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+        key = np.array([seed, stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._words = np.empty(0, dtype=np.uint64)
         self._list: list[int] = []  # self._words as Python ints, made by next_bits
@@ -114,17 +123,18 @@ class SrConfig:
             r_bits = SUBSTRATE_WIDTH - p
         else:
             r_bits = self.r
-            if not isinstance(r_bits, int) or not 1 <= r_bits <= SUBSTRATE_WIDTH - p:
+            if (not isinstance(r_bits, int) or isinstance(r_bits, bool)
+                    or not 1 <= r_bits <= SUBSTRATE_WIDTH - p):
                 raise ValueError(
                     f"r must be IDEAL or an integer in [1, {SUBSTRATE_WIDTH - p}]"
                 )
         if self.mode == MODE_SR and r_bits < 1:
             raise ValueError("stochastic mode needs at least one random bit")
-        # cached shift amounts for the hot path
         object.__setattr__(self, "r_bits", r_bits)
-        object.__setattr__(self, "shift_p", SUBSTRATE_WIDTH - p)
-        object.__setattr__(self, "mask_p", (1 << (SUBSTRATE_WIDTH - p)) - 1)
         object.__setattr__(self, "shift_pr", SUBSTRATE_WIDTH - p - r_bits)
+        # sr_round's grid spacing at p and at p + r bits, in substrate ulps
+        object.__setattr__(self, "ulps_p", 2.0 ** (SUBSTRATE_WIDTH - p))
+        object.__setattr__(self, "ulps_pr", 2.0 ** (SUBSTRATE_WIDTH - p - r_bits))
 
     @property
     def p(self) -> int:
@@ -172,26 +182,33 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
 
     Returns the upper neighbor with probability ``q_r_numerator(x)/2**r``
     and the lower neighbor otherwise.  No randomness is consumed when x is
-    already representable.
+    already representable.  When ``2**-960 < |x| < 2**960``, x rounds away
+    from zero iff ``|rem| + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem``
+    the exact ``fmod`` of x by its grid spacing and z the r-bit draw.
     """
-    # Hot path: _decode/_rebuild inlined, one frexp and one ldexp per call.
-    m, e = frexp(x)
-    try:
-        M = int(m * _TWO53) if m > 0.0 else int(-m * _TWO53)
-    except (OverflowError, ValueError):  # int() of inf or nan
-        raise ValueError(f"finite value required, got {x!r}") from None
-    rem = M & cfg.mask_p
-    if rem == 0:  # zero or on the grid
+    # Hot path, float operations only: with u the substrate ulp of x and
+    # up = u * 2**(53-p) the precision-p spacing, rem = fmod(x, up) is x's
+    # part below the grid, and its p+r-bit part k = |rem| // (u * 2**(53-p-r)).
+    # k + z >= 2**r iff |rem| + z * u * 2**(53-p-r) >= up, since the bits of
+    # |rem| below p+r add less than one step of z.  Every term is a multiple
+    # of u below 2*up <= 2**52 * u, so the sum is exact, and so are fmod,
+    # x - rem and x - rem +- up: grid points, normal and finite inside the
+    # guard.  Zero, tiny, huge and non-finite x take _off_grid/_rebuild.
+    if _SPLIT_MIN < abs(x) < _SPLIT_MAX:
+        u = ulp(x)
+        up = u * cfg.ulps_p
+        rem = fmod(x, up)
+        if rem == 0.0:  # on the grid
+            return x
+        if abs(rem) + rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) < up:
+            return x - rem
+        return x - rem + up if x > 0.0 else x - rem - up
+    d = _off_grid(x, cfg)
+    if d is None:  # zero or on the grid
         return x
+    sig, exp, k = d
     r = cfg.r_bits
-    sig = (M >> cfg.shift_p) + (((rem >> cfg.shift_pr) + rng.next_bits(r)) >> r)
-    try:
-        y = ldexp(sig, e - cfg.fmt.p)
-    except OverflowError:
-        raise SubstrateRangeError("result overflows the binary64 substrate") from None
-    if y < _DBL_MIN:
-        raise SubstrateRangeError("result underflows to a binary64 subnormal")
-    return y if m > 0.0 else -y
+    return _rebuild(x < 0, sig + ((k + rng.next_bits(r)) >> r), exp)
 
 
 def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:

@@ -177,7 +177,7 @@ def test_lambda_domain():
         BoundQuery(n=10, p=11, r=3, lam=1.0)
     with pytest.raises(ValueError):
         BoundQuery(n=0, p=11, r=3)
-    for r in (-3, 0, "Ideal", 2.0, None):
+    for r in (-3, 0, "Ideal", 2.0, None, True, False):
         with pytest.raises(ValueError, match="r must be IDEAL"):
             BoundQuery(n=100, p=11, r=r)
     # r past the 53 - p substrate bits is still a bound

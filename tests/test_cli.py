@@ -116,6 +116,9 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["round", "--value", "nan"],
         ["round", "--value", "inf"],
         ["round", "--value", "1e400", "--p", "8"],
+        ["sum", "--n-grid", "10", "--trials", "3", "--seed", "-1"],
+        ["rosenbrock", "--iters", "3", "--trials", "2", "--seed", "18446744073709551616"],
+        ["round", "--value", "1.3", "--samples", "4", "--seed", "-1"],
     ],
     ids=" ".join,
 )

@@ -36,6 +36,9 @@ def test_spec_validation():
         ExperimentSpec(kind="sum", p=11, r_list=(50,))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="sum", trials=0)
+    for seed in (-1, 1 << 64):  # outside the 64-bit Philox key word
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(kind="sum", seed=seed)
 
 
 def test_sum_experiment_structure():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srlab.dyadic import dy_ceil, dy_floor, dy_from_float, dy_q, dy_to_float
@@ -81,6 +81,18 @@ def test_distinct_streams_differ():
     seq_a = [a.next_bits(64) for _ in range(8)]
     assert seq_a != [b.next_bits(64) for _ in range(8)]
     assert seq_a != [c.next_bits(64) for _ in range(8)]
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
+def test_stream_key_outside_64_bits_is_rejected(seed, stream_id):
+    # Philox keys are 64-bit words: -1 and 2**64 - 1 would alias
+    with pytest.raises(ValueError, match="must be in \\[0, 2\\*\\*64\\)"):
+        RngStream(seed, stream_id)
+
+
+def test_stream_key_range_ends_are_accepted():
+    top = (1 << 64) - 1
+    assert RngStream(top, top).next_bits(64) != RngStream(0, top).next_bits(64)
 
 
 def test_next_bits_range():
@@ -179,6 +191,9 @@ def test_config_validation():
         sr_config(11, 43)  # p + r > 53
     with pytest.raises(ValueError):
         SrConfig(FpFormat(11), 7, mode="nearest")
+    for r in (True, False):  # a bool is not a bit count
+        with pytest.raises(ValueError):
+            sr_config(11, r)
     cfg = sr_config(11)
     assert cfg.r == IDEAL and cfg.r_bits == 42
     assert sr_config(11, 7).label == "sr7"
@@ -217,6 +232,19 @@ def test_representable_is_deterministic_and_draws_nothing():
     assert sr_round(0.0, cfg, rng) == 0.0
 
 
+def _at_guard_edges(test):
+    """``@example``s at +-2**-960 and +-2**960, the ends of sr_round's float
+    path, and at their nextafter neighbors on both sides, with a draw that
+    carries wherever k > 0 (p = 11, r = 7 and r = ideal)."""
+    for e in (-960, 960):
+        edge = math.ldexp(1.0, e)
+        for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            for x in (v, -v):
+                test = example(x, 11, 6, (1 << 51) - 1)(test)
+                test = example(x, 11, 41, (1 << 51) - 1)(test)
+    return test
+
+
 @given(substrate_floats, st.integers(2, 52), st.integers(0, 51), st.integers(0, (1 << 51) - 1))
 @example(sys.float_info.max, 2, 0, 1)  # rounds up to 2**1024
 @example(-sys.float_info.max, 11, 41, (1 << 42) - 1)  # rounds down to -2**1024
@@ -224,6 +252,11 @@ def test_representable_is_deterministic_and_draws_nothing():
 @example(5e-324, 2, 0, 1)  # substrate subnormal, on the grid
 @example(math.ldexp(3.0, -1024), 2, 0, 1)  # substrate subnormal, off the grid
 @example(math.ldexp(2.0 ** 52 - 1, -1074), 11, 41, (1 << 42) - 1)  # carries to 2**-1022
+@example(math.nextafter(2.0, 0.0), 11, 6, (1 << 7) - 1)  # r = 7: carries across the binade to 2.0
+@example(1.3, 2, 50, (1 << 51) - 1)  # p = 2, r = ideal (51 bits): the largest draw
+@example(-1.3, 2, 50, (1 << 51) - 2)
+@example(math.pi, 2, 50, 1 << 50)
+@_at_guard_edges
 @settings(max_examples=1000)
 def test_sr_round_matches_dyadic_oracle(x, p, r, z):
     cfg = sr_config(p, 1 + r % (53 - p))
@@ -246,6 +279,29 @@ def test_sr_round_matches_dyadic_oracle(x, p, r, z):
         with pytest.raises(SubstrateRangeError):
             sr_round(x, cfg, rng)
     assert rng.i == 1
+
+
+@given(
+    st.sampled_from((1.0, -1.0)),
+    st.integers(1 << 52, (1 << 53) - 1),
+    st.integers(-1011, 907),  # 2**-959 <= |x| < 2**960: sr_round's float path
+    st.integers(2, 52),
+    st.integers(0, 51),
+)
+@settings(max_examples=500)
+def test_sr_round_flips_at_the_carry_threshold(sign, sig, exp, p, r):
+    x = sign * math.ldexp(sig, exp)
+    cfg = sr_config(p, 1 + r % (53 - p))
+    r = cfg.r_bits
+    v = dy_from_float(x)
+    # k of the magnitude's 2**r draws carry away from zero: z >= 2**r - k
+    k = int(dy_q(dy_from_float(abs(x)), p, r) * (1 << r))
+    assume(k > 0)
+    toward, away = (dy_floor(v, p), dy_ceil(v, p))[:: int(sign)]
+    rng = FixedStream([(1 << r) - k - 1, (1 << r) - k])
+    assert sr_round(x, cfg, rng) == dy_to_float(toward)
+    assert sr_round(x, cfg, rng) == dy_to_float(away)
+    assert rng.i == 2
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
