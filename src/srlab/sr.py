@@ -12,12 +12,16 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``: equal keys reproduce equal bit sequences, distinct
 keys give statistically independent streams.  Each ``next_bits`` call
 consumes one 64-bit word, so the bulk sampler consumes words identically
-to a loop of single draws.
+to a loop of single draws.  Single draws are served from a list of the
+current block's words masked ahead of time to the width last asked for, so
+a run of draws at one width costs one compare and one list read each; a
+change of width re-masks the block and consumes no word of its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import fmod, ldexp, ulp
 
@@ -39,14 +43,22 @@ IDEAL = "ideal"
 MODE_SR = "sr"
 MODE_RN = "rn"
 
-# Philox words per refill.  next_bits serves them as a list of Python ints;
-# a small block keeps that list's memory small (the words do not depend on it).
+# Philox words per refill.  next_bits serves them as a list of Python ints,
+# masked to the width last asked for, and re-masks the whole block when the
+# width changes; a small block keeps that list's memory and a re-mask's cost
+# small (the words do not depend on it).
 _BLOCK = 512
 _MASK64 = (1 << 64) - 1
 
 
 def check_key(name: str, value: int) -> None:
-    """ValueError unless value is a Philox key word, an integer in [0, 2**64)."""
+    """ValueError unless value is a Philox key word: an integer in [0, 2**64).
+
+    numpy integers count as integers; a bool or a float does not, since
+    numpy would truncate ``1.5`` or ``True`` to the key of another stream.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value <= _MASK64:
         raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
 
@@ -65,25 +77,42 @@ class RngStream:
         self.stream_id = stream_id
         key = np.array([seed, stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
-        self._words = np.empty(0, dtype=np.uint64)
-        self._list: list[int] = []  # self._words as Python ints, made by next_bits
+        self._words = np.empty(0, dtype=np.uint64)  # the raw block
+        self._list: list[int] = []  # self._words masked to _k bits, as Python ints
+        self._k = None  # the k object _list was masked for; None before a draw
         self._pos = 0
 
     def next_bits(self, k: int) -> int:
         """k independent uniform bits, 1 <= k <= 64, as an integer."""
+        # Identity, not ==: 8.0 == 8 would serve an 8-bit word to a float k
+        # that _mask_block refuses.
+        if k is self._k:
+            pos = self._pos
+            try:
+                w = self._list[pos]
+            except IndexError:  # the block is used up
+                return self._mask_block(k)
+            self._pos = pos + 1
+            return w
+        return self._mask_block(k)
+
+    def _mask_block(self, k: int) -> int:
+        """next_bits for the first draw, a new width or a used-up block:
+        validate k, refill if needed, mask the block to k bits and serve
+        its word at the position.  It never calls next_bits, which a caller
+        may wrap to count one word per call."""
         if not 1 <= k <= 64:
             raise ValueError("k must be in [1, 64]")
+        # TypeError for a float k, before a word is used; a numpy k gives an int
+        mask = (1 << operator.index(k)) - 1
         pos = self._pos
-        try:
-            w = self._list[pos]
-        except IndexError:  # list view not made yet, or the block is used up
-            if pos >= len(self._words):
-                self._words = self._bitgen.random_raw(_BLOCK)
-                pos = 0
-            self._list = self._words.tolist()
-            w = self._list[pos]
+        if pos >= len(self._words):
+            self._words = self._bitgen.random_raw(_BLOCK)
+            pos = 0
+        self._list = (self._words & mask).tolist()
+        self._k = k
         self._pos = pos + 1
-        return w & ((1 << k) - 1)
+        return self._list[pos]
 
     def bits_array(self, k: int, size: int) -> np.ndarray:
         """``size`` draws of ``next_bits(k)`` as a uint64 array: the words left

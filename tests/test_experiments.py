@@ -36,7 +36,9 @@ def test_spec_validation():
         ExperimentSpec(kind="sum", p=11, r_list=(50,))
     with pytest.raises(ValueError):
         ExperimentSpec(kind="sum", trials=0)
-    for seed in (-1, 1 << 64):  # outside the 64-bit Philox key word
+    # outside the 64-bit Philox key word, or not an integer (numpy would
+    # truncate 1.9 and True to the key 1)
+    for seed in (-1, 1 << 64, 1.9, True):
         with pytest.raises(ValueError, match="seed"):
             ExperimentSpec(kind="sum", seed=seed)
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from srlab.dyadic import dy_from_float, exact_sum
@@ -13,10 +14,10 @@ from srlab.kernels import (
     rosenbrock_f,
     rosenbrock_grad,
 )
-from srlab.rounding import SubstrateRangeError, round_nearest
-from srlab.sr import RngStream, rn_config, sr_config
+from srlab.rounding import SubstrateRangeError, is_representable, round_nearest
+from srlab.sr import _BLOCK, RngStream, rn_config, sr_config
 
-from conftest import recorded_sr_roundings
+from conftest import random_substrate_values, recorded_sr_roundings
 from test_sr import FixedStream
 
 
@@ -25,6 +26,31 @@ def test_sum_single_element():
     assert res.value == 3.5
     assert res.rel_error == 0.0
     assert res.op_count == 0
+
+
+def test_one_next_bits_call_per_word_across_a_width_change_and_a_refill(monkeypatch):
+    # a word count taken by wrapping RngStream.next_bits at class level holds
+    # only if a draw that re-masks or refills the block makes no second call
+    calls = []
+    next_bits = RngStream.next_bits
+
+    def counted(rng, k):
+        calls.append(k)
+        return next_bits(rng, k)
+
+    monkeypatch.setattr(RngStream, "next_bits", counted)
+    fmt = sr_config(11).fmt
+    a = [round_nearest(v, fmt) for v in random_substrate_values(7, 400, -8, 8)]
+    rng = RngStream(5, 0)
+    with recorded_sr_roundings() as records:
+        recursive_sum(a, sr_config(11, 3), rng)  # 3-bit words, then 7-bit
+        recursive_sum(a, sr_config(11, 7), rng)  # ones in mid-block
+    off_grid = sum(not is_representable(c, fmt) for c, *_ in records)
+    # the words consumed: the stream's next word is Philox word number `used`
+    raw = np.random.Philox(key=[5, 0]).random_raw(1000).tolist()
+    used = raw.index(next_bits(rng, 64))
+    assert _BLOCK < used  # a refill was crossed
+    assert len(calls) == used == off_grid
 
 
 def test_sum_of_ones_stagnates_at_2048():

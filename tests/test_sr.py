@@ -95,6 +95,26 @@ def test_stream_key_range_ends_are_accepted():
     assert RngStream(top, top).next_bits(64) != RngStream(0, top).next_bits(64)
 
 
+# numpy would truncate each of these to the key of RngStream(1, 0) or (0, 0)
+@pytest.mark.parametrize(
+    "seed, stream_id", [(1.5, 0), (True, 0), (1, 0.5), (0, False), (np.float64(1.0), 0)]
+)
+def test_stream_key_that_is_not_an_integer_is_rejected(seed, stream_id):
+    with pytest.raises(ValueError, match="must be an integer"):
+        RngStream(seed, stream_id)
+
+
+def test_stream_key_numpy_integers_are_accepted():
+    # an exact integer is a key whatever its type; np.bool_ is not an integer
+    top = (1 << 64) - 1
+    a, b = RngStream(np.uint64(top), np.int64(3)), RngStream(top, 3)
+    assert [a.next_bits(64) for _ in range(4)] == [b.next_bits(64) for _ in range(4)]
+    with pytest.raises(ValueError, match="must be in"):
+        RngStream(np.int64(-1), 0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        RngStream(np.bool_(True), 0)
+
+
 def test_next_bits_range():
     rng = RngStream(9, 9)
     for k in (1, 7, 33, 64):
@@ -106,17 +126,21 @@ def test_next_bits_range():
         rng.next_bits(65)
 
 
-@pytest.mark.parametrize("k", [0, 65, -1])
+@pytest.mark.parametrize("k", [0, 65, -1, 8.0])
 def test_next_bits_bad_k_leaves_stream_unchanged(k):
+    error = ValueError if isinstance(k, int) else TypeError
     rng = RngStream(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         rng.next_bits(k)
     assert rng.next_bits(64) == RngStream(0, 0).next_bits(64)
-    # also after a draw, when the block is already served
-    with pytest.raises(ValueError):
+    # also after a draw, when the block is already served, and after a draw
+    # at the width 8.0 equals, which a fast path keyed by == would serve
+    rng.next_bits(8)
+    with pytest.raises(error):
         rng.next_bits(k)
     fresh = RngStream(0, 0)
     fresh.next_bits(64)
+    fresh.next_bits(8)
     assert rng.next_bits(64) == fresh.next_bits(64)
 
 
@@ -150,6 +174,33 @@ def test_interleaved_draws_match_next_bits_loop(calls):
             got = [a.next_bits(k) for _ in range(size)]
         assert got == [b.next_bits(k) for _ in range(size)]
     assert a.next_bits(64) == b.next_bits(64)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 64), st.integers(0, 1500), st.booleans()),
+        max_size=10,
+    )
+)
+# widths switch in mid-block, single draws cross refills, and a bulk draw
+# uses the block up under a list masked to the width drawn next
+@example([(7, 100, False), (11, 300, False), (7, 200, False), (64, 5, True),
+          (3, 1000, False), (3, 600, True), (3, 5, False)])
+@settings(max_examples=60, deadline=None)
+def test_draws_are_the_philox_words_masked(steps):
+    # the oracle is the generator itself: word i of any mix of next_bits and
+    # bits_array calls is word i of Philox(key=[seed, stream_id]), masked
+    rng = RngStream(13, 6)
+    got, masks = [], []
+    for k, count, bulk in steps:
+        if bulk:
+            got += rng.bits_array(k, count).tolist()
+        else:
+            got += [rng.next_bits(k) for _ in range(count)]
+        masks += [(1 << k) - 1] * count
+    raw = np.random.Philox(key=[13, 6]).random_raw(len(got) + 1).tolist()
+    assert got == [w & m for w, m in zip(raw, masks)]
+    assert rng.next_bits(64) == raw[-1]
 
 
 def test_bits_array_size_zero_draws_nothing():
