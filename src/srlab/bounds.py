@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import DY_ZERO, dy_add, dy_from_float, dy_mul
+from .dyadic import DyadicValue, exact_dot, exact_sum
 from .sr import IDEAL
 
 
@@ -90,17 +90,12 @@ def _scaled(kappa: float, term: float) -> float:
     return 0.0 if term == 0.0 else kappa * term
 
 
-def _cond(terms) -> float:
-    """sum|t_i| / |sum t_i| of exact dyadic terms; +inf when the sum is zero
-    but some term is not."""
-    acc = DY_ZERO
-    acc_abs = DY_ZERO
-    for v in terms:
-        acc = dy_add(acc, v)
-        acc_abs = dy_add(acc_abs, -v if v.sign < 0 else v)
-    if acc.sign == 0:
-        return 1.0 if acc_abs.sign == 0 else math.inf
-    return float(abs(acc_abs.as_fraction()) / abs(acc.as_fraction()))
+def _cond(total: DyadicValue, total_abs: DyadicValue) -> float:
+    """total_abs / |total| of the exact sums of |t_i| and t_i; +inf when the
+    sum is zero but some term is not."""
+    if total.sign == 0:
+        return 1.0 if total_abs.sign == 0 else math.inf
+    return float(total_abs.as_fraction() / abs(total.as_fraction()))
 
 
 def cond_sum(a) -> float:
@@ -110,16 +105,14 @@ def cond_sum(a) -> float:
     """
     if len(a) == 0:
         raise ValueError("empty vector")
-    return _cond(dy_from_float(x) for x in a)
+    return _cond(exact_sum(a), exact_sum([abs(x) for x in a]))
 
 
 def cond_inner(a, b) -> float:
     """Condition number of an inner product: cond_sum of the exact products."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
     if len(a) == 0:
         raise ValueError("empty vectors")
-    return _cond(dy_mul(dy_from_float(x), dy_from_float(y)) for x, y in zip(a, b))
+    return _cond(exact_dot(a, b), exact_dot([abs(x) for x in a], [abs(y) for y in b]))
 
 
 def _bias_bound(m: int, q: BoundQuery) -> float:

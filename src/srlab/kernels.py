@@ -21,6 +21,7 @@ lists, with no per-point tuple for the garbage collector to track.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .dyadic import DyadicValue, exact_dot, exact_sum, rel_error
@@ -101,13 +102,13 @@ def recursive_sum(
     if validate:
         _check_inputs("a", a, cfg)
     step = _stepper(cfg)
-    s = a[0]
-    k = 0
+    it = iter(a)
+    s = next(it)
     try:
-        for k in range(1, len(a)):
-            s = step(s + a[k], cfg, rng)
+        for x in it:
+            s = step(s + x, cfg, rng)
     except (SubstrateRangeError, ValueError) as exc:
-        raise _at_step(exc, k) from exc
+        raise _at_step(exc, len(a) - 1 - operator.length_hint(it)) from exc
     if exact is None:
         exact = exact_sum(a)
     return KernelResult(s, exact, rel_error(s, exact), len(a) - 1)

@@ -101,7 +101,7 @@ class RngStream:
         validate k, refill if needed, mask the block to k bits and serve
         its word at the position.  It never calls next_bits, which a caller
         may wrap to count one word per call."""
-        if not 1 <= k <= 64:
+        if isinstance(k, bool) or not 1 <= k <= 64:  # True is no width
             raise ValueError("k must be in [1, 64]")
         # TypeError for a float k, before a word is used; a numpy k gives an int
         mask = (1 << operator.index(k)) - 1
@@ -118,7 +118,7 @@ class RngStream:
         """``size`` draws of ``next_bits(k)`` as a uint64 array: the words left
         in the block, then the rest straight from the generator (Philox words
         do not depend on how its calls are split), which uses the block up."""
-        if not 1 <= k <= 64:
+        if isinstance(k, bool) or not 1 <= k <= 64:  # True is no width
             raise ValueError("k must be in [1, 64]")
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -215,23 +215,33 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     from zero iff ``|rem| + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem``
     the exact ``fmod`` of x by its grid spacing and z the r-bit draw.
     """
-    # Hot path, float operations only: with u the substrate ulp of x and
-    # up = u * 2**(53-p) the precision-p spacing, rem = fmod(x, up) is x's
-    # part below the grid, and its p+r-bit part k = |rem| // (u * 2**(53-p-r)).
-    # k + z >= 2**r iff |rem| + z * u * 2**(53-p-r) >= up, since the bits of
-    # |rem| below p+r add less than one step of z.  Every term is a multiple
-    # of u below 2*up <= 2**52 * u, so the sum is exact, and so are fmod,
-    # x - rem and x - rem +- up: grid points, normal and finite inside the
-    # guard.  Zero, tiny, huge and non-finite x take _off_grid/_rebuild.
-    if _SPLIT_MIN < abs(x) < _SPLIT_MAX:
+    # Hot path, float operations only, one branch per sign: with u the
+    # substrate ulp of x and up = u * 2**(53-p) the precision-p spacing,
+    # rem = fmod(x, up) is x's part below the grid, of x's sign, and its
+    # p+r-bit part is k = |rem| // (u * 2**(53-p-r)).  k + z >= 2**r iff
+    # |rem| + z * u * 2**(53-p-r) >= up, since the bits of |rem| below p+r
+    # add less than one step of z.  Every term is a multiple of u below
+    # 2*up <= 2**52 * u, so the sum is exact, and so are fmod, x - rem and
+    # x - rem +- up: grid points, normal and finite inside the guard.  Zero,
+    # tiny, huge and non-finite x take _off_grid/_rebuild.
+    if _SPLIT_MIN < x < _SPLIT_MAX:
         u = ulp(x)
         up = u * cfg.ulps_p
         rem = fmod(x, up)
         if rem == 0.0:  # on the grid
             return x
-        if abs(rem) + rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) < up:
+        if rem + rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) < up:
             return x - rem
-        return x - rem + up if x > 0.0 else x - rem - up
+        return x - rem + up
+    if -_SPLIT_MAX < x < -_SPLIT_MIN:
+        u = ulp(x)
+        up = u * cfg.ulps_p
+        rem = fmod(x, up)
+        if rem == 0.0:
+            return x
+        if rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) - rem < up:
+            return x - rem
+        return x - rem - up
     d = _off_grid(x, cfg)
     if d is None:  # zero or on the grid
         return x

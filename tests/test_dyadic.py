@@ -1,10 +1,14 @@
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srlab import dyadic
 from srlab.dyadic import (
     DY_ZERO,
     DyadicValue,
@@ -141,6 +145,117 @@ def test_exact_references_edge_cases():
             exact_sum([1.0, bad])
         with pytest.raises(ValueError):
             exact_dot([1.0, 2.0], [bad, 1.0])
+
+
+def _fraction_sum(terms):
+    return sum(terms, Fraction(0))
+
+
+def test_exact_sum_at_scale_needs_the_limbs():
+    # full 53-bit mantissas at one exponent: 10**4 of them in one unsplit
+    # bucket would pass 2**63 in int64 and round in float64; the limbs are
+    # each below 2**27
+    big = float((2**53 - 1) * 2**40)
+    vals = [big, -big] * 5000 + [big] * 3
+    assert exact_sum(vals).as_fraction() == 3 * Fraction(big)
+    assert exact_sum(vals[:10003]).as_fraction() == _fraction_sum(map(Fraction, vals[:10003]))
+    same_sign = [big] * 10000 + [2.0 ** -30]
+    assert exact_sum(same_sign).as_fraction() == _fraction_sum(map(Fraction, same_sign))
+
+
+def test_exact_sum_over_the_whole_binary64_range():
+    dbl_max = sys.float_info.max
+    vals = [dbl_max, 5e-324, -0.0, 0.0, 2.0 ** -1022, -(2.0 ** -1074) * 12345,
+            1.0, -dbl_max, dbl_max, 2.0 ** -1073 + 2.0 ** -1074, -3.5e-310, 1e300]
+    assert exact_sum(vals).as_fraction() == _fraction_sum(map(Fraction, vals))
+    assert exact_sum([-dbl_max, -dbl_max]).as_fraction() == -2 * Fraction(dbl_max)
+    b = vals[::-1]
+    want = _fraction_sum(Fraction(x) * Fraction(y) for x, y in zip(vals, b))
+    assert exact_dot(vals, b).as_fraction() == want
+
+
+def test_exact_dot_of_full_mantissas():
+    rng = np.random.default_rng(5)
+    sig = rng.integers(2**52, 2**53, size=(2, 3000))
+    signs = rng.choice([-1, 1], size=(2, 3000))
+    exps = rng.integers(-1100, 970, size=(2, 3000))
+    a, b = (np.ldexp((signs * sig).astype(np.float64), exps)).tolist()
+    a[:8] = [(2.0**53 - 1) * 2.0**900] * 8
+    b[:8] = [-(2.0**53 - 1) * 2.0**-1020, 2.0**-1074] * 4
+    want = _fraction_sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+    assert exact_dot(a, b).as_fraction() == want
+
+
+def test_exact_sum_in_chunks(monkeypatch):
+    # a bucket of float64 limb sums stays exact for 2**25 terms; chunks of
+    # 7 terms take the same path a huge input would
+    monkeypatch.setattr(dyadic, "_CHUNK", 7)
+    vals = [float((2**53 - 1) * 2**40), 0.1, -3e-300, 2.0**-1074] * 13
+    assert exact_sum(vals).as_fraction() == _fraction_sum(map(Fraction, vals))
+    want = _fraction_sum(Fraction(x) * Fraction(x) for x in vals)
+    assert exact_dot(vals, vals).as_fraction() == want
+
+
+@pytest.mark.parametrize("bad", [2**53 + 1, -(2**60 + 3), 2**1024, "1.5"])
+def test_exact_references_refuse_values_that_are_not_binary64(bad):
+    with pytest.raises(ValueError):
+        exact_sum([1.0, bad])
+    with pytest.raises(ValueError):
+        exact_dot([1.0, bad], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        exact_dot([1.0, 1.0], [bad, 1.0])
+    with pytest.raises(ValueError):  # a numpy int array too
+        exact_sum(np.array([1, 2**53 + 1]))
+    # an int that is a binary64 value is summed as one
+    assert exact_sum([1.0, 2**60, 3]).as_fraction() == 2**60 + 4
+
+
+def _fraction_rel_error(value, exact):
+    return float(abs(Fraction(value) - exact.as_fraction()) / abs(exact.as_fraction()))
+
+
+wide_floats = st.builds(
+    lambda sig, exp: math.ldexp(sig, exp),
+    st.integers(-(2**53) + 1, 2**53 - 1),
+    st.integers(-1126, 971),
+)
+
+
+@given(wide_floats, st.lists(wide_floats, min_size=1, max_size=4))
+@example(1e308, [5e-324])  # the ratio overflows
+@example(2.0**1000, [2.0**1000, 2.0**-100])  # the ratio 2**-1100 is subnormal
+@example(-3.0, [1.5, 1.5])
+@settings(max_examples=400)
+def test_rel_error_keeps_the_fraction_bits(value, terms):
+    exact = exact_sum(terms)
+    if exact.sign == 0:
+        return
+    try:
+        want = _fraction_rel_error(value, exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            rel_error(value, exact)
+        return
+    got = rel_error(value, exact)
+    assert math.copysign(1.0, got) == 1.0 and got.hex() == want.hex()
+
+
+def test_rel_error_edges():
+    tiny = dy_from_float(5e-324)
+    with pytest.raises(OverflowError):  # 2**1024 / 2**-1074 is no float
+        _fraction_rel_error(1e308, tiny)
+    with pytest.raises(OverflowError):
+        rel_error(1e308, tiny)
+    huge = dy_from_float(sys.float_info.max)
+    for value in (5e-324, 0.0, -sys.float_info.max, 1e-300):
+        assert rel_error(value, huge).hex() == _fraction_rel_error(value, huge).hex()
+    assert rel_error(sys.float_info.max, huge) == 0.0
+    for bad, error in ((math.inf, OverflowError), (-math.inf, OverflowError),
+                       (math.nan, ValueError)):
+        with pytest.raises(error):
+            Fraction(bad)
+        with pytest.raises(error):
+            rel_error(bad, huge)
 
 
 def test_rel_error():

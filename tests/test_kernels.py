@@ -270,6 +270,31 @@ def test_sum_non_finite_partial_reports_index(cfg):
     assert str(exc.value) == "partial result left the substrate range (at step index 1)"
 
 
+@pytest.mark.parametrize("index", [4, 8])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sum_sr_overflow_reports_a_late_index(sign, index):
+    # zeros keep the partial sum on the grid, so only the step at index draws
+    vec = [0.0] * 9
+    vec[0], vec[index] = sign * 1.5 * 2.0 ** 1023, sign * 2.0 ** 1021
+    with pytest.raises(SubstrateRangeError) as exc:
+        recursive_sum(vec, sr_config(2, 1), FixedStream([1]))
+    assert str(exc.value) == (
+        f"result overflows the binary64 substrate (at step index {index})"
+    )
+
+
+@pytest.mark.parametrize("cfg", [rn_config(11), sr_config(11, 3)], ids=["rn", "sr3"])
+@pytest.mark.parametrize("index", [3, 6])
+def test_sum_non_finite_partial_reports_a_late_index(cfg, index):
+    vec = [0.5] * 7
+    vec[0] = vec[index] = 1.7e308
+    with pytest.raises(SubstrateRangeError) as exc:
+        recursive_sum(vec, cfg, RngStream(0, 0), validate=False)
+    assert str(exc.value) == (
+        f"partial result left the substrate range (at step index {index})"
+    )
+
+
 @pytest.mark.parametrize("cfg", [rn_config(11), sr_config(11, 3)], ids=["rn", "sr3"])
 @pytest.mark.parametrize("index", [0, 2])
 def test_dot_non_finite_product_reports_index(cfg, index):

@@ -126,7 +126,7 @@ def test_next_bits_range():
         rng.next_bits(65)
 
 
-@pytest.mark.parametrize("k", [0, 65, -1, 8.0])
+@pytest.mark.parametrize("k", [0, 65, -1, 8.0, True])
 def test_next_bits_bad_k_leaves_stream_unchanged(k):
     error = ValueError if isinstance(k, int) else TypeError
     rng = RngStream(0, 0)
@@ -141,6 +141,19 @@ def test_next_bits_bad_k_leaves_stream_unchanged(k):
     fresh = RngStream(0, 0)
     fresh.next_bits(64)
     fresh.next_bits(8)
+    assert rng.next_bits(64) == fresh.next_bits(64)
+
+
+def test_bool_width_is_refused_after_a_one_bit_draw():
+    # True == 1, so a width check by value alone would serve 1-bit draws
+    rng = RngStream(0, 0)
+    rng.next_bits(1)
+    with pytest.raises(ValueError):
+        rng.next_bits(True)
+    with pytest.raises(ValueError):
+        rng.bits_array(True, 8)
+    fresh = RngStream(0, 0)
+    fresh.next_bits(1)
     assert rng.next_bits(64) == fresh.next_bits(64)
 
 
