@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .dyadic import DyadicValue, exact_dot, exact_sum
+from .rounding import check_int
 from .sr import IDEAL
 
 
@@ -29,38 +30,34 @@ class BoundQuery:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_int("n", self.n, 1)
+        check_int("p", self.p, 1)
         # any r >= 1 gives a bound, also past the 53 - p substrate bits
-        if self.r != IDEAL and not (
-            isinstance(self.r, int) and not isinstance(self.r, bool) and self.r >= 1
-        ):
-            raise ValueError(f"r must be IDEAL or an integer >= 1, got {self.r!r}")
+        if self.r != IDEAL:
+            check_int("r", self.r, 1)
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not self.kappa >= 1.0:  # nan fails too
+            raise ValueError(f"kappa must be >= 1, got {self.kappa!r}")
 
 
 def unit_roundoff(p: int) -> float:
     """u_p = 2**(1-p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return math.ldexp(1.0, 1 - p)
+    return math.ldexp(1.0, 1 - check_int("p", p, 1))
 
 
 def tail_roundoff(p: int, r: int | str) -> float:
     """u_{p+r}; exactly 0.0 in the ideal limit."""
     if r == IDEAL:
         return 0.0
-    return unit_roundoff(p + r)
+    return unit_roundoff(p + check_int("r", r, 1))
 
 
 def gamma(n: int, u: float) -> float:
     """(1+u)**n - 1, evaluated as expm1(n*log1p(u)) to keep relative accuracy."""
-    if n < 0 or u < 0:
-        raise ValueError("gamma needs n >= 0 and u >= 0")
-    if n == 0 or u == 0.0:
+    if not u >= 0.0:  # nan fails too
+        raise ValueError(f"u must be >= 0, got {u!r}")
+    if check_int("n", n, 0) == 0 or u == 0.0:
         return 0.0
     try:
         return math.expm1(n * math.log1p(u))
@@ -73,8 +70,7 @@ def b_envelope(m: int, p: int, r: int | str) -> float:
 
     Uses the identity (1+u+v)**m - (1+u)**m = (1+u)**m * ((1+v/(1+u))**m - 1).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_int("m", m, 0)
     u = unit_roundoff(p)
     v = tail_roundoff(p, r)
     if m == 0 or v == 0.0:
@@ -157,8 +153,7 @@ def bc_bound_sum(q: BoundQuery) -> float:
 
 def det_bound_sum(n: int, p: int, kappa: float = 1.0) -> float:
     """Deterministic worst case kappa * gamma_{n-1}(u_p)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    BoundQuery(n, p, kappa=kappa)  # checks n, p and kappa
     return _scaled(kappa, gamma(n - 1, unit_roundoff(p)))
 
 
@@ -181,6 +176,4 @@ def rule_of_thumb_r(n: int) -> int:
 
     Pure integer arithmetic, exact at powers of two.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return ((n - 1).bit_length() + 1) // 2
+    return ((check_int("n", n, 2) - 1).bit_length() + 1) // 2

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import bounds, experiments
 from .dyadic import dy_from_float, dy_q
-from .rounding import SubstrateRangeError, round_down, round_up, truncate, ulp
-from .sr import IDEAL, RngStream, check_key, sr_config, sr_sample
+from .rounding import SubstrateRangeError, check_int, round_down, round_up, truncate, ulp
+from .sr import IDEAL, KEY_MAX, RngStream, sr_config, sr_sample
 
 
 def _parse_r_value(token: str):
@@ -153,8 +153,7 @@ def _n_grid(opts) -> tuple:
     n_max = opts["n_max"]
     if n_max is None:
         return _SPEC["n_grid"]
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = check_int("n_max", n_max, 1)
     grid, n = [], 10
     while n < n_max:
         grid.append(n)
@@ -174,9 +173,8 @@ def _check(command: str, opts):
             raise ValueError("--value is required")
         if not math.isfinite(opts["value"]):
             raise ValueError(f"--value must be finite, got {opts['value']!r}")
-        if opts["samples"] < 0:
-            raise ValueError(f"--samples must be >= 0, got {opts['samples']}")
-        check_key("seed", opts["seed"])
+        check_int("--samples", opts["samples"], 0)
+        check_int("seed", opts["seed"], 0, KEY_MAX)
         return sr_config(opts["p"], opts["r"])
     if command == "suggest-r":
         if opts["n"] is None:

@@ -180,9 +180,13 @@ def _mantissas(values) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an int beyond the binary64 range
         raise ValueError("finite binary64 values required") from None
-    # a float equals an int only if exact; tolist gives numpy ints as Python ints
+    # a float equals an int only if exact; tolist gives numpy ints as Python ints.
+    # A numpy integer scalar compares with a float as a float, which may round
+    # only at 2**53 and above: compare those few as Python ints.
     given = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not np.isfinite(x).all() or x.tolist() != given:
+    big = np.flatnonzero(np.abs(x) >= 2.0**53).tolist()
+    if (not np.isfinite(x).all() or x.tolist() != given
+            or any(int(given[i]) != int(x[i]) for i in big)):
         raise ValueError("finite binary64 values required")
     m, e = np.frexp(x)
     return np.ldexp(m, 53).astype(np.int64), e - 53

@@ -20,9 +20,9 @@ import numpy as np
 from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
-from .rounding import FpFormat, round_nearest, round_nearest_array
+from .rounding import FpFormat, check_int, round_nearest, round_nearest_array
 from .sr import (
-    IDEAL, MODE_RN, MODE_SR, RngStream, SrConfig, check_key, rn_config, sr_config,
+    IDEAL, KEY_MAX, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config,
 )
 
 _INV_2_53 = 2.0 ** -53
@@ -68,18 +68,15 @@ class ExperimentSpec:
             raise ValueError(f"r_list repeats a value: {self.r_list}")
         for r in self.r_list:
             SrConfig(fmt, r, mode)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.n_grid:
+        check_int("trials", self.trials, 1)
+        sizes = [check_int("n_grid size", n, 1) for n in self.n_grid]
+        if not sizes:
             raise ValueError("n_grid must not be empty")
-        if list(self.n_grid) != sorted(set(self.n_grid)):
+        if sizes != sorted(set(sizes)):
             raise ValueError("n_grid must be strictly increasing")
-        if self.n_grid[0] < 1:
-            raise ValueError(f"n_grid sizes must be >= 1, got {self.n_grid[0]}")
-        if self.iters < 0:
-            raise ValueError("iters must be >= 0")
-        if not self.step > 0:
-            raise ValueError("t must be positive")
+        check_int("iters", self.iters, 0)
+        if not 0.0 < self.step < math.inf:  # nan fails too
+            raise ValueError(f"t must be positive and finite, got {self.step!r}")
         for start in self.starts:
             if len(start) != 2 or not all(map(math.isfinite, start)):
                 raise ValueError(f"start point must be two finite coordinates, got {start}")
@@ -88,7 +85,7 @@ class ExperimentSpec:
             raise ValueError(f"two start points share one CSV name: {self.starts}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must be in (0, 1)")
-        check_key("seed", self.seed)
+        check_int("seed", self.seed, 0, KEY_MAX)
 
 
 def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:

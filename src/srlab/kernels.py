@@ -29,6 +29,7 @@ from .rounding import (
     _SPLIT_MAX,
     _SPLIT_MIN,
     SubstrateRangeError,
+    check_int,
     is_representable,
     round_nearest,
 )
@@ -170,10 +171,9 @@ def gd_rosenbrock(
     diverged; a start whose loss overflows, to an OverflowError or to inf,
     leaves no iterate and no loss.
     """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    if t <= 0.0:
-        raise ValueError("step size must be positive")
+    iters = check_int("iters", iters, 0)
+    if not 0.0 < t < math.inf:  # nan fails too
+        raise ValueError(f"step size must be positive and finite, got {t!r}")
     fmt = cfg.fmt
     split = fmt.split
     step = _stepper(cfg)

@@ -30,6 +30,21 @@ class SubstrateRangeError(ArithmeticError):
     """Result is not exactly representable as a normal binary64 value."""
 
 
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``int(value)`` if value is an integer in ``[lo, hi]`` (``>= lo`` when hi is
+    None), else ValueError.  This is srlab's one rule for integer arguments:
+    Python and numpy integers pass; a bool and a float, ``11.0`` included, do not."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+        if lo <= n and (hi is None or n <= hi):
+            return n
+        kind = ""
+    else:
+        kind = "an integer "
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be {kind}{span}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FpFormat:
     """Target format: ``p`` significand bits (leading 1 included)."""
@@ -37,8 +52,7 @@ class FpFormat:
     p: int
 
     def __post_init__(self):
-        if not 2 <= self.p <= SUBSTRATE_WIDTH:
-            raise ValueError(f"p must be in [2, {SUBSTRATE_WIDTH}], got {self.p}")
+        object.__setattr__(self, "p", check_int("p", self.p, 2, SUBSTRATE_WIDTH))
         # cached Veltkamp splitting constant for round_nearest
         object.__setattr__(self, "split", float(2 ** (SUBSTRATE_WIDTH - self.p) + 1))
 
@@ -114,9 +128,7 @@ def truncate(x: float, width: int) -> float:
     The result y satisfies |y| <= |x| and x = y*(1+b) with |b| < 2**(1-width);
     idempotent over repeated application at the same width.
     """
-    if not 1 <= width <= SUBSTRATE_WIDTH:
-        raise ValueError(f"width must be in [1, {SUBSTRATE_WIDTH}], got {width}")
-    return _directed(x, width, False)
+    return _directed(x, check_int("width", width, 1, SUBSTRATE_WIDTH), False)
 
 
 def round_nearest(x: float, fmt: FpFormat) -> float:

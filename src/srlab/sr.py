@@ -21,7 +21,6 @@ change of width re-masks the block and consumes no word of its own.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from math import fmod, ldexp, ulp
 
@@ -36,6 +35,7 @@ from .rounding import (
     SubstrateRangeError,
     _decode,
     _rebuild,
+    check_int,
 )
 
 IDEAL = "ideal"
@@ -48,19 +48,9 @@ MODE_RN = "rn"
 # width changes; a small block keeps that list's memory and a re-mask's cost
 # small (the words do not depend on it).
 _BLOCK = 512
-_MASK64 = (1 << 64) - 1
-
-
-def check_key(name: str, value: int) -> None:
-    """ValueError unless value is a Philox key word: an integer in [0, 2**64).
-
-    numpy integers count as integers; a bool or a float does not, since
-    numpy would truncate ``1.5`` or ``True`` to the key of another stream.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value <= _MASK64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {value!r}")
+# a seed or stream id is a Philox key word in [0, KEY_MAX]: numpy would wrap -1
+# onto KEY_MAX and truncate 1.5 or True to the key of another stream
+KEY_MAX = (1 << 64) - 1
 
 
 class RngStream:
@@ -71,11 +61,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        check_key("seed", seed)
-        check_key("stream_id", stream_id)
-        self.seed = seed
-        self.stream_id = stream_id
-        key = np.array([seed, stream_id], dtype=np.uint64)
+        self.seed = check_int("seed", seed, 0, KEY_MAX)
+        self.stream_id = check_int("stream_id", stream_id, 0, KEY_MAX)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._words = np.empty(0, dtype=np.uint64)  # the raw block
         self._list: list[int] = []  # self._words masked to _k bits, as Python ints
@@ -101,10 +89,7 @@ class RngStream:
         validate k, refill if needed, mask the block to k bits and serve
         its word at the position.  It never calls next_bits, which a caller
         may wrap to count one word per call."""
-        if isinstance(k, bool) or not 1 <= k <= 64:  # True is no width
-            raise ValueError("k must be in [1, 64]")
-        # TypeError for a float k, before a word is used; a numpy k gives an int
-        mask = (1 << operator.index(k)) - 1
+        mask = (1 << check_int("k", k, 1, 64)) - 1  # before a word is used
         pos = self._pos
         if pos >= len(self._words):
             self._words = self._bitgen.random_raw(_BLOCK)
@@ -118,10 +103,8 @@ class RngStream:
         """``size`` draws of ``next_bits(k)`` as a uint64 array: the words left
         in the block, then the rest straight from the generator (Philox words
         do not depend on how its calls are split), which uses the block up."""
-        if isinstance(k, bool) or not 1 <= k <= 64:  # True is no width
-            raise ValueError("k must be in [1, 64]")
-        if size < 0:
-            raise ValueError("size must be non-negative")
+        k = check_int("k", k, 1, 64)
+        size = check_int("size", size, 0)
         mask = np.uint64((1 << k) - 1)
         words, pos = self._words, self._pos
         if size <= len(words) - pos:
@@ -151,12 +134,8 @@ class SrConfig:
         if self.r == IDEAL:
             r_bits = SUBSTRATE_WIDTH - p
         else:
-            r_bits = self.r
-            if (not isinstance(r_bits, int) or isinstance(r_bits, bool)
-                    or not 1 <= r_bits <= SUBSTRATE_WIDTH - p):
-                raise ValueError(
-                    f"r must be IDEAL or an integer in [1, {SUBSTRATE_WIDTH - p}]"
-                )
+            r_bits = check_int("r", self.r, 1, SUBSTRATE_WIDTH - p)
+            object.__setattr__(self, "r", r_bits)
         if self.mode == MODE_SR and r_bits < 1:
             raise ValueError("stochastic mode needs at least one random bit")
         object.__setattr__(self, "r_bits", r_bits)
@@ -288,6 +267,7 @@ def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:
     per draw off the grid and none on it, and a SubstrateRangeError exactly
     when some drawn outcome is out of range.
     """
+    size = check_int("size", size, 0)  # also when x is on the grid and draws nothing
     d = _off_grid(x, cfg)
     if d is None:  # zero or on the grid
         return np.full(size, x, dtype=np.float64)

@@ -178,7 +178,7 @@ def test_lambda_domain():
     with pytest.raises(ValueError):
         BoundQuery(n=0, p=11, r=3)
     for r in (-3, 0, "Ideal", 2.0, None, True, False):
-        with pytest.raises(ValueError, match="r must be IDEAL"):
+        with pytest.raises(ValueError, match=r"r must be (an integer )?>= 1"):
             BoundQuery(n=100, p=11, r=r)
     # r past the 53 - p substrate bits is still a bound
     assert ah_bound_sum(BoundQuery(n=100, p=11, r=50)) > 0.0
@@ -254,3 +254,12 @@ def test_powerset_expansion_matches_product(py_rng):
         ys = [(py_rng.random() - 0.5) * 2.0 ** -12 for _ in range(n)]
         direct = math.prod(x + y for x, y in zip(xs, ys))
         assert abs(powerset_expansion(xs, ys) - direct) <= 2.0 ** -40 * abs(direct)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, 0.5, -math.inf])
+def test_kappa_below_one_or_nan_is_refused(kappa):
+    # a nan condition number would make every bound nan
+    with pytest.raises(ValueError, match="kappa must be >= 1"):
+        BoundQuery(n=100, p=11, r=3, kappa=kappa)
+    with pytest.raises(ValueError, match="kappa must be >= 1"):
+        det_bound_sum(100, 11, kappa=kappa)

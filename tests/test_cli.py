@@ -113,6 +113,8 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["rosenbrock", "--r", "3,3"],
         ["rosenbrock", "--start", "nan,0", "--iters", "3", "--trials", "2", "--r", "3"],
         ["rosenbrock", "--start", "1e400,1", "--iters", "3", "--trials", "2", "--r", "3"],
+        ["rosenbrock", "--t", "inf", "--iters", "3", "--trials", "2", "--r", "3"],
+        ["rosenbrock", "--t", "nan", "--iters", "3", "--trials", "2", "--r", "3"],
         ["round", "--value", "nan"],
         ["round", "--value", "inf"],
         ["round", "--value", "1e400", "--p", "8"],

@@ -196,7 +196,12 @@ def test_exact_sum_in_chunks(monkeypatch):
     assert exact_dot(vals, vals).as_fraction() == want
 
 
-@pytest.mark.parametrize("bad", [2**53 + 1, -(2**60 + 3), 2**1024, "1.5"])
+# a numpy integer scalar compares with a float as a float, so == alone misses
+# that 2**53 + 1 does not survive the conversion
+@pytest.mark.parametrize(
+    "bad",
+    [2**53 + 1, -(2**60 + 3), 2**1024, "1.5", np.int64(2**53 + 1), np.uint64(2**64 - 1)],
+)
 def test_exact_references_refuse_values_that_are_not_binary64(bad):
     with pytest.raises(ValueError):
         exact_sum([1.0, bad])

@@ -43,6 +43,15 @@ def test_spec_validation():
             ExperimentSpec(kind="sum", seed=seed)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+def test_step_size_must_be_positive_and_finite(t):
+    # every trajectory of such a step would silently diverge
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        ExperimentSpec("rosenbrock", step=t)
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        gd_rosenbrock((0.0, 0.0), t, 5, sr_config(11, 3), RngStream(0, 0))
+
+
 def test_sum_experiment_structure():
     rows = run_sum_experiment(TINY_SUM)
     modes = {"rn", "sr3", "sr7"}

@@ -86,7 +86,8 @@ def test_distinct_streams_differ():
 @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
 def test_stream_key_outside_64_bits_is_rejected(seed, stream_id):
     # Philox keys are 64-bit words: -1 and 2**64 - 1 would alias
-    with pytest.raises(ValueError, match="must be in \\[0, 2\\*\\*64\\)"):
+    with pytest.raises(ValueError,
+                       match=r"(seed|stream_id) must be in \[0, 18446744073709551615\]"):
         RngStream(seed, stream_id)
 
 
@@ -95,9 +96,10 @@ def test_stream_key_range_ends_are_accepted():
     assert RngStream(top, top).next_bits(64) != RngStream(0, top).next_bits(64)
 
 
-# numpy would truncate each of these to the key of RngStream(1, 0) or (0, 0)
+# numpy would truncate each of these to an integer key, the key of another stream
 @pytest.mark.parametrize(
-    "seed, stream_id", [(1.5, 0), (True, 0), (1, 0.5), (0, False), (np.float64(1.0), 0)]
+    "seed, stream_id",
+    [(1.5, 0), (True, 0), (1, 0.5), (0, False), (np.float64(1.0), 0), (11.0, 0), (0, 3.0)],
 )
 def test_stream_key_that_is_not_an_integer_is_rejected(seed, stream_id):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -128,15 +130,14 @@ def test_next_bits_range():
 
 @pytest.mark.parametrize("k", [0, 65, -1, 8.0, True])
 def test_next_bits_bad_k_leaves_stream_unchanged(k):
-    error = ValueError if isinstance(k, int) else TypeError
     rng = RngStream(0, 0)
-    with pytest.raises(error):
+    with pytest.raises(ValueError):
         rng.next_bits(k)
     assert rng.next_bits(64) == RngStream(0, 0).next_bits(64)
     # also after a draw, when the block is already served, and after a draw
     # at the width 8.0 equals, which a fast path keyed by == would serve
     rng.next_bits(8)
-    with pytest.raises(error):
+    with pytest.raises(ValueError):
         rng.next_bits(k)
     fresh = RngStream(0, 0)
     fresh.next_bits(64)
