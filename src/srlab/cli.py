@@ -1,8 +1,8 @@
 """Command-line frontend: rounding demos, experiment runners, bound tables.
 
-Flags override config-file values (``key = value`` lines, ``#`` comments);
-environment variables are never consulted.  Exit codes: 0 success, 1
-domain/range/runtime errors, 2 flag or config errors.
+Flags override config-file values (``key = value`` lines, ``#`` comments),
+which override the defaults; environment variables are never consulted.
+Exit codes: 0 success, 1 domain/range/runtime errors, 2 flag or config errors.
 """
 
 from __future__ import annotations
@@ -42,17 +42,31 @@ def _parse_point(text: str) -> tuple:
     return float(parts[0]), float(parts[1])
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str, parser) -> dict:
+    """The values of a ``key = value`` config file, each converted by its
+    option's converter; a bad file, key or value exits 2 via ``parser``."""
+    schema = _SCHEMAS[command]
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
+    unknown = set(values) - set(schema)
+    if unknown:
+        parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, value in values.items():
+        try:
+            values[key] = schema[key][0](value)
+        except ValueError as exc:
+            parser.error(f"config key {key}: {exc}")
     return values
 
 
@@ -117,35 +131,6 @@ _COMMANDS = {
 _SPEC_FIELD = {"r": "r_list", "t": "step"}
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
-    schema = _SCHEMAS[args.command]
-    config = {}
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
-        except ValueError as exc:
-            parser.error(str(exc))
-        unknown = set(config) - set(schema)
-        if unknown:
-            parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key, (conv, default, _) in schema.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in config:
-            try:
-                resolved[key] = conv(config[key])
-            except ValueError as exc:
-                parser.error(f"config key {key}: {exc}")
-        else:
-            resolved[key] = default
-    return resolved
-
-
 def _n_grid(opts) -> tuple:
     """--n-grid, else 10, 20, 40, ... up to --n-max, else the default grid."""
     if opts["n_grid"] is not None:
@@ -190,20 +175,20 @@ def _check(command: str, opts):
 
 
 def _round(opts, cfg) -> None:
+    # every line is computed before any is printed: a range error prints none
     x, p, fmt = opts["value"], cfg.p, cfg.fmt
     q = dy_q(dy_from_float(x), p, cfg.r_bits)
-    print(f"value     = {x:.17g}")
-    print(f"floor     = {round_down(x, fmt):.17g}")
-    print(f"ceil      = {round_up(x, fmt):.17g}")
+    lo, up = round_down(x, fmt), round_up(x, fmt)
+    lines = [f"value     = {x:.17g}", f"floor     = {lo:.17g}", f"ceil      = {up:.17g}"]
     if x != 0.0:
-        print(f"ulp       = {ulp(x, fmt):.17g}")
-    print(f"truncated = {truncate(x, p + cfg.r_bits):.17g}  (width {p + cfg.r_bits})")
-    print(f"q_r       = {q} (= {float(q):.17g})")
+        lines.append(f"ulp       = {ulp(x, fmt):.17g}")
+    lines.append(f"truncated = {truncate(x, p + cfg.r_bits):.17g}  (width {p + cfg.r_bits})")
+    lines.append(f"q_r       = {q} (= {float(q):.17g})")
     if opts["samples"] > 0:
         samples = sr_sample(x, cfg, RngStream(opts["seed"], 0), opts["samples"])
-        lo, up = round_down(x, fmt), round_up(x, fmt)
         freq = float((samples == up).mean()) if lo != up else 0.0
-        print(f"empirical up-frequency over {opts['samples']} samples: {freq:.6f}")
+        lines.append(f"empirical up-frequency over {opts['samples']} samples: {freq:.6f}")
+    print("\n".join(lines))
 
 
 def _experiment(spec: experiments.ExperimentSpec) -> None:
@@ -223,7 +208,9 @@ def _experiment(spec: experiments.ExperimentSpec) -> None:
         print(f"wrote {path} ({elapsed:.2f}s)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The srlab parser.  ``config`` maps a command to its config-file values,
+    which replace its defaults: a flag beats the file, the file the default."""
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Limited-precision stochastic rounding laboratory",
@@ -232,16 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key = value config file; flags win")
-        for dest, (conv, _, help_opt) in _SCHEMAS[name].items():
+        for dest, (conv, default, help_opt) in _SCHEMAS[name].items():
             flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-            sp.add_argument(flag, dest=dest, type=conv, help=help_opt)
+            sp.add_argument(flag, dest=dest, type=conv, default=default, help=help_opt)
+        # argparse runs a str default through `type` again, so a converter must
+        # map each str it returns (out_dir, input_file, round's r) to itself
+        sp.set_defaults(**(config or {}).get(name, {}))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = _resolve(args, parser)
+    if args.config:
+        config = _read_config(args.config, args.command, parser)
+        args = build_parser({args.command: config}).parse_args(argv)
+    opts = vars(args)
     try:
         target = _check(args.command, opts)
     except ValueError as exc:

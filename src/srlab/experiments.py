@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +21,7 @@ from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
 from .rounding import FpFormat, check_int, round_nearest, round_nearest_array
 from .sr import (
-    IDEAL, KEY_MAX, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config,
+    KEY_MAX, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config,
 )
 
 _INV_2_53 = 2.0 ** -53
@@ -110,25 +109,6 @@ def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float
     return cols
 
 
-# kind -> (input columns, exact reference, kernel).  The lambdas look the
-# reference and the kernel up at call time, so rebinding those module names
-# (as the perfbench shims do) reaches every trial.
-_TRIAL_KINDS = {
-    "sum": (
-        1,
-        lambda a: exact_sum(a),
-        lambda a, cfg, rng, exact: recursive_sum(a, cfg, rng, exact=exact, validate=False),
-    ),
-    "dot": (
-        2,
-        lambda a, b: exact_dot(a, b),
-        lambda a, b, cfg, rng, exact: inner_product(
-            a, b, cfg, rng, exact=exact, validate=False
-        ),
-    ),
-}
-
-
 def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
     """Per-trial relative errors of the sum or dot kernel for every mode,
     keyed by ``(n, mode label)`` and listed in trial order.
@@ -139,7 +119,9 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
     fixed input whose exact value is zero has no relative error and raises
     ValueError.
     """
-    columns, reference, kernel = _TRIAL_KINDS[spec.kind]
+    columns, reference, kernel = {
+        "sum": (1, exact_sum, recursive_sum), "dot": (2, exact_dot, inner_product)
+    }[spec.kind]
     modes = [rn_config(spec.p)] + [sr_config(spec.p, r) for r in spec.r_list]
     fmt = FpFormat(spec.p)
     fixed = fixed_exact = None
@@ -157,7 +139,8 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
             vecs = fixed or [_draw_uniform_p(rng, n, fmt) for _ in range(columns)]
             exact = fixed_exact if fixed else reference(*vecs)
             for cfg in modes:
-                errors[n, cfg.label].append(kernel(*vecs, cfg, rng, exact).rel_error)
+                result = kernel(*vecs, cfg, rng, exact=exact, validate=False)
+                errors[n, cfg.label].append(result.rel_error)
     return errors
 
 
@@ -203,9 +186,8 @@ def run_bounds_table(spec: ExperimentSpec) -> list[Row]:
         rows.append((n, "det", bounds.det_bound_sum(n, spec.p), 0.0))
         for r in spec.r_list:
             q = bounds.BoundQuery(n=n, p=spec.p, r=r, lam=spec.lam)
-            tag = "ideal" if r == IDEAL else str(r)
-            rows.append((n, f"ah_sr{tag}", bounds.ah_bound_sum(q), 0.0))
-            rows.append((n, f"bc_sr{tag}", bounds.bc_bound_sum(q), 0.0))
+            rows.append((n, f"ah_sr{r}", bounds.ah_bound_sum(q), 0.0))
+            rows.append((n, f"bc_sr{r}", bounds.bc_bound_sum(q), 0.0))
     return rows
 
 
@@ -243,7 +225,7 @@ def estimate_coverage(errors, bound: float) -> float:
 
 
 def _r_tag(r_list) -> str:
-    return "-".join("ideal" if r == IDEAL else str(r) for r in r_list)
+    return "-".join(map(str, r_list))
 
 
 def csv_name(spec: ExperimentSpec, start: tuple[float, float] | None = None) -> str:
@@ -257,15 +239,16 @@ def write_rows(path: str | Path, rows: list[Row]) -> Path:
     """Write summary rows as CSV (17 significant digits), atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    # open() creates the file with the mode the umask allows; mkstemp's is 0600
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write("n_or_k,mode,value,stderr\n")
             # %.17g renders every float as format(v, ".17g") does
             fh.writelines(map("%d,%s,%.17g,%.17g\n".__mod__, rows))
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
     return path

@@ -3,7 +3,7 @@ import weakref
 import pytest
 
 from srlab import experiments
-from srlab.cli import main
+from srlab.cli import _check, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -61,6 +61,14 @@ def test_round_range_error_exits_1(capsys):
     code, out, err = run_cli(["round", "--value", "1.7e308", "--p", "2", "--r", "1"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["1e-310", "5e-324"])
+def test_round_range_error_prints_no_partial_report(value, capsys):
+    # 5e-324 is on the grid, but the ulp of its binade is below the normal range
+    code, out, err = run_cli(["round", "--value", value, "--p", "11", "--r", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: result underflows to a binary64 subnormal\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -292,3 +300,48 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["round", "--config", str(cfg), "--value", "1.0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"p = eleven\n", "config key p: "),
+        (b"wibble = 3\n", "unknown config key(s): wibble\n"),
+        (b"value = 1.5\xff\n", "cannot read config file: 'utf-8' codec"),
+    ],
+    ids=["bad-value", "unknown-key", "not-utf-8"],
+)
+def test_config_file_error_message(data, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    with pytest.raises(SystemExit) as exc:
+        main(["round", "--config", str(cfg), "--value", "1.0"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [([], "bounds-table_p11_r3-7.csv"), (["--r", "5"], "bounds-table_p11_r5.csv")],
+    ids=["config-beats-default", "flag-beats-config"],
+)
+def test_config_list_options_and_dashed_key(flags, name, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-grid = 10,20\nr = 3,7\n")
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        ["bounds-table", "--config", str(cfg), "--out-dir", str(out), *flags], capsys
+    )
+    assert code == 0
+    assert [p.name for p in out.iterdir()] == [name]
+    lines = (out / name).read_text().splitlines()[1:]
+    assert sorted({int(line.split(",")[0]) for line in lines}) == [10, 20]
+
+
+@pytest.mark.parametrize("command", ["sum", "dot", "rosenbrock", "bounds-table"])
+def test_cli_defaults_are_the_spec_defaults(command):
+    spec = experiments.ExperimentSpec(kind=command)
+    if command == "bounds-table":  # the documented --n-max 6000 grid
+        grid = (10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120, 6000)
+        spec = experiments.ExperimentSpec(kind=command, n_grid=grid)
+    assert _check(command, vars(build_parser().parse_args([command]))) == spec

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +152,30 @@ def test_csv_format(tmp_path):
     assert text[1] == "10,rn,0.33333333333333331,0.25"
     assert text[2] == "20,sr3,2,0"
     assert float(text[1].split(",")[2]) == 1.0 / 3.0  # 17 digits round-trip
+
+
+def test_csv_mode_follows_umask(tmp_path):
+    # others may read the results, as with any file the user writes
+    modes = []
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o002):
+            os.umask(umask)
+            path = write_rows(tmp_path / f"umask{umask:03o}.csv", [(1, "rn", 0.5, 0.0)])
+            modes.append(stat.S_IMODE(path.stat().st_mode))
+    finally:
+        os.umask(old)
+    assert modes == [0o644, 0o664]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["umask002.csv", "umask022.csv"]
+
+
+def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = write_rows(tmp_path / "out.csv", [(1, "rn", 0.5, 0.0)])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_rows(path, [(2, "rn", 0.5, 0.0), ("x", "rn", 0.5, 0.0)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 _EDGE_VALUES = [
