@@ -24,10 +24,7 @@ from .bounds import (
     unit_roundoff,
 )
 from .dyadic import (
-    DyadicValue,
-    dy_add,
     dy_from_float,
-    dy_mul,
     dy_q,
     dy_to_float,
     exact_dot,

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .dyadic import DyadicValue, exact_dot, exact_sum
+from .dyadic import exact_dot, exact_sum
 from .rounding import check_int
 from .sr import IDEAL
 
@@ -86,12 +87,12 @@ def _scaled(kappa: float, term: float) -> float:
     return 0.0 if term == 0.0 else kappa * term
 
 
-def _cond(total: DyadicValue, total_abs: DyadicValue) -> float:
+def _cond(total: Fraction, total_abs: Fraction) -> float:
     """total_abs / |total| of the exact sums of |t_i| and t_i; +inf when the
     sum is zero but some term is not."""
-    if total.sign == 0:
-        return 1.0 if total_abs.sign == 0 else math.inf
-    return float(total_abs.as_fraction() / abs(total.as_fraction()))
+    if total == 0:
+        return 1.0 if total_abs == 0 else math.inf
+    return float(total_abs / abs(total))
 
 
 def cond_sum(a) -> float:

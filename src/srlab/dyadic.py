@@ -1,171 +1,138 @@
 """Exact dyadic-rational arithmetic used as an independent test oracle.
 
-A value is carried as ``sign * num * 2**exp2`` with an arbitrary-precision
-odd integer ``num`` (zero for zero).  All rounding-related quantities
-(floor/ceil on the precision-p grid, truncation to a given width, grid
-spacing, round-up probabilities) are recomputed here from integer shifts,
-deliberately sharing no code with the float-based primitives they check.
-The exact references :func:`exact_sum` and :func:`exact_dot` split every
-term into 27-bit limbs, sum the limbs per exponent in numpy, add the few
-bucket sums as Python integers and canonicalize once.
+An exact value is a :class:`fractions.Fraction` whose denominator is a power
+of two.  All rounding-related quantities (floor/ceil on the precision-p grid,
+truncation to a given width, grid spacing, round-up probabilities) are
+recomputed here from integer shifts, deliberately sharing no code with the
+float-based primitives they check; only the integer-argument rule
+``check_int`` is shared.  The exact references :func:`exact_sum` and
+:func:`exact_dot` split every term into 27-bit limbs, sum the limbs per
+exponent in numpy and add the few bucket sums as Python integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DyadicValue:
-    sign: int  # -1, 0 or +1
-    num: int   # odd positive integer, 0 iff sign == 0
-    exp2: int
-
-    def __post_init__(self):
-        if self.sign == 0:
-            if self.num != 0:
-                raise ValueError("zero must have num == 0")
-        elif self.num <= 0 or self.num % 2 == 0:
-            raise ValueError("num must be a positive odd integer")
-
-    @property
-    def exponent(self) -> int:
-        """Normalized exponent e with |value| in [2**e, 2**(e+1))."""
-        if self.sign == 0:
-            raise ValueError("zero has no normalized exponent")
-        return self.num.bit_length() - 1 + self.exp2
-
-    def as_fraction(self) -> Fraction:
-        if self.exp2 >= 0:
-            return Fraction(self.sign * self.num << self.exp2)
-        return Fraction(self.sign * self.num, 1 << -self.exp2)
+from .rounding import check_int
 
 
-DY_ZERO = DyadicValue(0, 0, 0)
+def _split(v: Fraction) -> tuple[int, int]:
+    """``(numerator, exp2)`` with ``v == numerator * 2**exp2``; ValueError unless
+    v is dyadic, its denominator a power of two (not so ``Fraction(1, 3)``)."""
+    n, d = v.as_integer_ratio()
+    if d & (d - 1):
+        raise ValueError(f"dyadic value required, got {v!r}")
+    return n, 1 - d.bit_length()
 
 
-def _canonical(signed_num: int, exp2: int) -> DyadicValue:
-    if signed_num == 0:
-        return DY_ZERO
-    sign = 1 if signed_num > 0 else -1
-    n = abs(signed_num)
-    tz = (n & -n).bit_length() - 1
-    return DyadicValue(sign, n >> tz, exp2 + tz)
+def _dyadic(n: int, exp2: int) -> Fraction:
+    return Fraction(n << exp2) if exp2 >= 0 else Fraction(n, 1 << -exp2)
 
 
-def dy_from_float(x: float) -> DyadicValue:
+def dy_exponent(v: Fraction) -> int:
+    """Normalized exponent e with |v| in [2**e, 2**(e+1))."""
+    n, exp2 = _split(v)
+    if n == 0:
+        raise ValueError("zero has no normalized exponent")
+    return n.bit_length() - 1 + exp2
+
+
+def dy_from_float(x: float) -> Fraction:
     try:
-        n, d = x.as_integer_ratio()  # d is a power of two for binary floats
+        return Fraction.from_float(x)
     except (OverflowError, ValueError):  # infinity or nan
         raise ValueError(f"finite value required, got {x!r}") from None
-    return _canonical(n, 1 - d.bit_length())
 
 
-def dy_to_float(v: DyadicValue) -> float:
+def dy_to_float(v: Fraction) -> float:
     """Exact conversion back to binary64; error if not representable."""
-    if v.sign == 0:
-        return 0.0
-    if v.num.bit_length() > 53 or v.exp2 < -1074 or v.exponent > 1023:
-        raise ValueError("value is not representable in the binary64 substrate")
-    return v.sign * math.ldexp(v.num, v.exp2)
+    n, d = v.as_integer_ratio()
+    try:
+        x = n / d  # correctly rounded, as float(v); OverflowError beyond the range
+        if x.as_integer_ratio() == (n, d):
+            return x
+    except OverflowError:
+        pass
+    raise ValueError("value is not representable in the binary64 substrate")
 
 
-def dy_add(a: DyadicValue, b: DyadicValue) -> DyadicValue:
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    e = min(a.exp2, b.exp2)
-    return _canonical(
-        (a.sign * a.num << (a.exp2 - e)) + (b.sign * b.num << (b.exp2 - e)), e
-    )
+def _grid_split(n: int, exp2: int, p: int) -> tuple[int, int, int]:
+    """Split ``|n| * 2**exp2`` on the precision-p grid: (floor_sig, remainder,
+    unit_exp), with floor_sig and remainder 0 for n == 0.
 
-
-def dy_mul(a: DyadicValue, b: DyadicValue) -> DyadicValue:
-    if a.sign == 0 or b.sign == 0:
-        return DY_ZERO
-    # product of odd numbers is odd, already canonical
-    return DyadicValue(a.sign * b.sign, a.num * b.num, a.exp2 + b.exp2)
-
-
-def _grid_split(v: DyadicValue, p: int) -> tuple[int, int, int]:
-    """Split |v| on the precision-p grid: (floor_sig, remainder, unit_exp).
-
-    |v| = (floor_sig + remainder * 2**(exp2 - unit_exp)) * 2**unit_exp with
-    0 <= remainder < 2**(unit_exp - exp2); floor_sig is in [2**(p-1), 2**p).
+    |n| * 2**exp2 = (floor_sig + remainder * 2**(exp2 - unit_exp)) * 2**unit_exp
+    with 0 <= remainder < 2**(unit_exp - exp2); floor_sig is in [2**(p-1), 2**p).
     """
-    unit = v.exponent - p + 1
-    shift = v.exp2 - unit
+    num = abs(n)
+    unit = num.bit_length() + exp2 - p
+    shift = exp2 - unit
     if shift >= 0:
-        return v.num << shift, 0, unit
-    return v.num >> -shift, v.num & ((1 << -shift) - 1), unit
+        return num << shift, 0, unit
+    return num >> -shift, num & ((1 << -shift) - 1), unit
 
 
-def _dy_directed(v: DyadicValue, width: int, away: bool) -> DyadicValue:
+def _dy_directed(v: Fraction, width: int, away: bool) -> Fraction:
     """v if on the precision-``width`` grid, else its neighbor away from zero or not."""
-    if v.sign == 0:
-        return DY_ZERO
-    sig, rem, unit = _grid_split(v, width)
-    return _canonical(v.sign * (sig + (away and rem > 0)), unit)
+    n, exp2 = _split(v)
+    sig, rem, unit = _grid_split(n, exp2, width)
+    sig += away and rem > 0
+    return _dyadic(-sig if n < 0 else sig, unit)
 
 
-def dy_floor(v: DyadicValue, p: int) -> DyadicValue:
+def dy_floor(v: Fraction, p: int) -> Fraction:
     """Largest precision-p grid point <= v."""
-    return _dy_directed(v, p, v.sign < 0)
+    return _dy_directed(v, check_int("p", p, 1), v.numerator < 0)
 
 
-def dy_ceil(v: DyadicValue, p: int) -> DyadicValue:
+def dy_ceil(v: Fraction, p: int) -> Fraction:
     """Smallest precision-p grid point >= v."""
-    return _dy_directed(v, p, v.sign > 0)
+    return _dy_directed(v, check_int("p", p, 1), v.numerator > 0)
 
 
-def dy_trunc(v: DyadicValue, width: int) -> DyadicValue:
+def dy_trunc(v: Fraction, width: int) -> Fraction:
     """Truncation of v toward zero to ``width`` significand bits."""
-    return _dy_directed(v, width, False)
+    return _dy_directed(v, check_int("width", width, 1), False)
 
 
-def dy_ulp(v: DyadicValue, p: int) -> DyadicValue:
-    if v.sign == 0:
-        raise ValueError("ulp is undefined at zero")
-    return DyadicValue(1, 1, v.exponent - p + 1)
+def dy_ulp(v: Fraction, p: int) -> Fraction:
+    return _dyadic(1, dy_exponent(v) - check_int("p", p, 1) + 1)
 
 
-def dy_round_nearest(v: DyadicValue, p: int) -> DyadicValue:
+def dy_round_nearest(v: Fraction, p: int) -> Fraction:
     """Nearest precision-p grid point, ties to even."""
-    if v.sign == 0:
-        return DY_ZERO
-    sig, rem, unit = _grid_split(v, p)
-    shift = unit - v.exp2
+    p = check_int("p", p, 1)
+    n, exp2 = _split(v)
+    sig, rem, unit = _grid_split(n, exp2, p)
     if rem:
-        half = 1 << (shift - 1)
+        half = 1 << (unit - exp2 - 1)
         if rem > half or (rem == half and sig & 1):
             sig += 1
-    return _canonical(v.sign * sig, unit)
+    return _dyadic(-sig if n < 0 else sig, unit)
 
 
-def dy_q(x: DyadicValue, p: int, r: int | float = math.inf) -> Fraction:
+def dy_q(x: Fraction, p: int, r: int | float = math.inf) -> Fraction:
     """Round-up probability of x on the precision-p grid, exactly.
 
-    With r = inf this is (x - floor(x)) / ulp(x).  With finite r the
+    With r = inf this is (x - floor(x)) / ulp(x).  With an integer r >= 1 the
     numerator uses x truncated to p+r bits instead of x itself, so the
     result is an integer multiple of 2**-r (and may equal 1 for negative
     inputs whose magnitude truncates onto the grid).
     """
-    if x.sign == 0:
-        return Fraction(0)
-    _, rem, unit = _grid_split(x, p)
+    p = check_int("p", p, 1)
+    if r != math.inf:
+        r = check_int("r", r, 1)
+    n, exp2 = _split(x)
+    _, rem, unit = _grid_split(n, exp2, p)
     if rem == 0:
         return Fraction(0)
-    t = unit - x.exp2  # number of sub-grid bits carrying the remainder
-    if r == math.inf or t <= r:
-        q_mag = Fraction(rem, 1 << t)
-    else:
-        q_mag = Fraction(rem >> (t - int(r)), 1 << int(r))
-    return q_mag if x.sign > 0 else 1 - q_mag
+    t = unit - exp2  # number of sub-grid bits carrying the remainder
+    if t > r:  # the remainder truncated to r bits
+        rem, t = rem >> (t - r), r
+    return Fraction(rem if n > 0 else (1 << t) - rem, 1 << t)
 
 
 _LIMB = 27
@@ -180,19 +147,22 @@ def _mantissas(values) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an int beyond the binary64 range
         raise ValueError("finite binary64 values required") from None
-    # a float equals an int only if exact; tolist gives numpy ints as Python ints.
+    if not np.isfinite(x).all():
+        raise ValueError("finite binary64 values required")
+    # a float64 array (returned as is) is binary64 by construction.  Otherwise a
+    # float equals an int only if exact; tolist gives numpy ints as Python ints.
     # A numpy integer scalar compares with a float as a float, which may round
     # only at 2**53 and above: compare those few as Python ints.
-    given = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    big = np.flatnonzero(np.abs(x) >= 2.0**53).tolist()
-    if (not np.isfinite(x).all() or x.tolist() != given
-            or any(int(given[i]) != int(x[i]) for i in big)):
-        raise ValueError("finite binary64 values required")
+    if x is not values:
+        given = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        big = np.flatnonzero(np.abs(x) >= 2.0**53).tolist()
+        if x.tolist() != given or any(int(given[i]) != int(x[i]) for i in big):
+            raise ValueError("finite binary64 values required")
     m, e = np.frexp(x)
     return np.ldexp(m, 53).astype(np.int64), e - 53
 
 
-def _accumulate(m: np.ndarray, e: np.ndarray) -> DyadicValue:
+def _accumulate(m: np.ndarray, e: np.ndarray) -> Fraction:
     """Exact sum of ``m * 2**e`` over int64 arrays with ``|m| < 2**54``: the limbs
     ``m & (2**27 - 1)`` at e and ``m >> 27`` at e + 27 summed in a float64 bucket
     per exponent (exact: at most 2**53 in a chunk of 2**25 terms), then as ints."""
@@ -206,15 +176,15 @@ def _accumulate(m: np.ndarray, e: np.ndarray) -> DyadicValue:
         sums[_LIMB:] += np.bincount(ki, mi >> _LIMB, size - _LIMB)
         nz = np.flatnonzero(sums)
         total += sum(int(s) << j for j, s in zip(nz.tolist(), sums[nz].tolist()))
-    return _canonical(total, low)
+    return _dyadic(total, low)
 
 
-def exact_sum(values) -> DyadicValue:
+def exact_sum(values) -> Fraction:
     """Exact sum of a sequence of floats."""
     return _accumulate(*_mantissas(values))
 
 
-def exact_dot(a, b) -> DyadicValue:
+def exact_dot(a, b) -> Fraction:
     """Exact inner product of two equal-length float sequences, from the mantissas'
     26/27-bit halves: ``hi*hi``, ``hi*lo + lo*hi`` and ``lo*lo`` are below 2**54."""
     if len(a) != len(b):
@@ -226,12 +196,11 @@ def exact_dot(a, b) -> DyadicValue:
                        np.concatenate((e + 2 * _LIMB, e + _LIMB, e)))
 
 
-def rel_error(value: float, exact: DyadicValue) -> float:
+def rel_error(value: float, exact: Fraction) -> float:
     """|value - exact| / |exact| computed without intermediate rounding."""
-    if exact.sign == 0:
+    if exact == 0:
         return 0.0 if value == 0.0 else math.inf
-    # value * d = n, exact * d = sign * num * 2**sh: one int / int, as float(Fraction)
+    # value = n/d and exact = N/D: one int / int, rounded once as float(Fraction) is
     n, d = value.as_integer_ratio()
-    sh = exact.exp2 + d.bit_length() - 1
-    x = exact.num << max(sh, 0)
-    return abs((n << max(-sh, 0)) - exact.sign * x) / x
+    N, D = exact.numerator, exact.denominator
+    return abs(n * D - N * d) / (abs(N) * d)

@@ -87,9 +87,8 @@ class ExperimentSpec:
         check_int("seed", self.seed, 0, KEY_MAX)
 
 
-def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> list[float]:
-    words = rng.bits_array(53, n)
-    return round_nearest_array(words * _INV_2_53, fmt).tolist()
+def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> np.ndarray:
+    return round_nearest_array(rng.bits_array(53, n) * _INV_2_53, fmt)
 
 
 def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float]]:
@@ -128,7 +127,7 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
     if spec.input_file is not None:
         fixed = _load_vector_file(spec.input_file, fmt, columns)
         fixed_exact = reference(*fixed)
-        if fixed_exact.sign == 0:
+        if fixed_exact == 0:
             raise ValueError(f"the exact {spec.kind} of {spec.input_file!r} is zero,"
                              " so its relative error is undefined")
     grid = [len(fixed[0])] if fixed else spec.n_grid
@@ -136,8 +135,11 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
     for trial in range(spec.trials):
         rng = RngStream(spec.seed, trial)
         for n in grid:
-            vecs = fixed or [_draw_uniform_p(rng, n, fmt) for _ in range(columns)]
-            exact = fixed_exact if fixed else reference(*vecs)
+            # the reference reads float64 arrays as they are; the kernels step
+            # fastest through Python floats
+            arrays = fixed or [_draw_uniform_p(rng, n, fmt) for _ in range(columns)]
+            exact = fixed_exact if fixed else reference(*arrays)
+            vecs = fixed or [a.tolist() for a in arrays]
             for cfg in modes:
                 result = kernel(*vecs, cfg, rng, exact=exact, validate=False)
                 errors[n, cfg.label].append(result.rel_error)
@@ -239,8 +241,10 @@ def write_rows(path: str | Path, rows: list[Row]) -> Path:
     """Write summary rows as CSV (17 significant digits), atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # open() creates the file with the mode the umask allows; mkstemp's is 0600
+    # open() creates the file with the mode the umask allows; mkstemp's is 0600.
+    # A live process owns its pid, so a file of this name is a killed run's.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.unlink(missing_ok=True)
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .dyadic import DyadicValue, exact_dot, exact_sum, rel_error
+from .dyadic import exact_dot, exact_sum, rel_error
 from .rounding import (
     _SPLIT_MAX,
     _SPLIT_MIN,
@@ -39,7 +40,7 @@ from .sr import MODE_SR, RngStream, SrConfig, sr_round
 @dataclass
 class KernelResult:
     value: float
-    exact: DyadicValue
+    exact: Fraction
     rel_error: float
     op_count: int
 
@@ -94,7 +95,7 @@ def recursive_sum(
     a,
     cfg: SrConfig,
     rng: RngStream,
-    exact: DyadicValue | None = None,
+    exact: Fraction | None = None,
     validate: bool = True,
 ) -> KernelResult:
     """Left-to-right summation, one rounding per partial sum after the first."""
@@ -120,7 +121,7 @@ def inner_product(
     b,
     cfg: SrConfig,
     rng: RngStream,
-    exact: DyadicValue | None = None,
+    exact: Fraction | None = None,
     validate: bool = True,
 ) -> KernelResult:
     """Product-and-accumulate: every product and every addition rounded once."""

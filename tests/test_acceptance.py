@@ -215,7 +215,7 @@ def test_criterion_06_bias_bound_summation():
         draw = RngStream(606, n)
         vec = [round_nearest(draw.next_bits(53) * 2.0 ** -53, fmt8) for _ in range(n)]
         exact = exact_sum(vec)
-        y = float(exact.as_fraction())
+        y = float(exact)
         for r in (2, 4):
             cfg = sr_config(8, r)
             vals = np.array(

@@ -1,6 +1,8 @@
+import ast
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -10,13 +12,15 @@ from hypothesis import strategies as st
 
 from srlab import dyadic
 from srlab.dyadic import (
-    DY_ZERO,
-    DyadicValue,
-    dy_add,
+    dy_ceil,
+    dy_exponent,
+    dy_floor,
     dy_from_float,
-    dy_mul,
     dy_q,
+    dy_round_nearest,
     dy_to_float,
+    dy_trunc,
+    dy_ulp,
     exact_dot,
     exact_sum,
     rel_error,
@@ -31,16 +35,9 @@ finite_floats = st.floats(
 
 def test_from_float_examples():
     v = dy_from_float(1.25)
-    assert (v.sign, v.num, v.exp2) == (1, 5, -2)
-    assert dy_from_float(0.0) == DY_ZERO
+    assert v == Fraction(5, 4)
+    assert dy_from_float(0.0) == 0
     assert dy_to_float(dy_from_float(-1.3125)) == -1.3125
-
-
-def test_canonical_form_enforced():
-    with pytest.raises(ValueError):
-        DyadicValue(1, 6, 0)  # even num
-    with pytest.raises(ValueError):
-        DyadicValue(0, 3, 0)  # zero with nonzero num
 
 
 @given(finite_floats)
@@ -51,24 +48,62 @@ def test_round_trip_identity(x):
 
 def test_to_float_rejects_unrepresentable():
     with pytest.raises(ValueError):
-        dy_to_float(DyadicValue(1, (1 << 54) + 1, 0))  # 55 significant bits
+        dy_to_float(Fraction((1 << 54) + 1))  # 55 significant bits
     with pytest.raises(ValueError):
-        dy_to_float(DyadicValue(1, 1, 1024))  # above the binade ceiling
+        dy_to_float(Fraction(2**1024))  # above the binade ceiling
+    dbl_max = Fraction(sys.float_info.max)
+    for v in (Fraction(2**53 + 1), Fraction(1, 2**1075), -Fraction(1, 2**1075),
+              dbl_max + Fraction(2**969), dbl_max + Fraction(2**970), Fraction(1, 3)):
+        with pytest.raises(ValueError):  # rounds to a float, to zero, or overflows
+            dy_to_float(v)
 
 
-def test_add_mul_examples():
-    assert dy_to_float(dy_add(dy_from_float(1.25), dy_from_float(0.125))) == 1.375
-    assert dy_to_float(dy_mul(dy_from_float(1.5), dy_from_float(1.5))) == 2.25
-    x = dy_from_float(3.7)
-    assert dy_add(x, DY_ZERO) == x
+def test_to_float_keeps_the_binary64_extremes():
+    assert dy_to_float(Fraction(1, 2**1074)) == 5e-324
+    assert dy_to_float(-Fraction(sys.float_info.max)) == -sys.float_info.max
+    assert dy_to_float(Fraction(0)) == 0.0
 
 
-@given(finite_floats, finite_floats)
-@settings(max_examples=300)
-def test_add_mul_match_fractions(a, b):
-    fa, fb = Fraction(a), Fraction(b)
-    assert dy_add(dy_from_float(a), dy_from_float(b)).as_fraction() == fa + fb
-    assert dy_mul(dy_from_float(a), dy_from_float(b)).as_fraction() == fa * fb
+_ORACLE = {
+    "dy_exponent": dy_exponent,
+    "dy_to_float": dy_to_float,
+    "dy_floor": lambda v: dy_floor(v, 11),
+    "dy_ceil": lambda v: dy_ceil(v, 11),
+    "dy_trunc": lambda v: dy_trunc(v, 11),
+    "dy_round_nearest": lambda v: dy_round_nearest(v, 11),
+    "dy_ulp": lambda v: dy_ulp(v, 11),
+    "dy_q": lambda v: dy_q(v, 11),
+    "dy_q r": lambda v: dy_q(v, 11, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE))
+def test_oracle_refuses_a_fraction_that_is_not_dyadic(name):
+    with pytest.raises(ValueError):
+        _ORACLE[name](Fraction(1, 3))
+    _ORACLE[name](Fraction(5, 4))  # a dyadic one passes
+
+
+def test_exact_values_are_fractions():
+    v = dy_from_float(1.3)
+    values = [v, dy_from_float(0.0), exact_sum([0.5, 0.1]), exact_sum([]),
+              exact_dot([1.5, 0.1], [2.0, 3.0]), exact_dot([], []), dy_q(v, 11, 3)]
+    values += [_ORACLE[name](v) for name in ("dy_floor", "dy_ceil", "dy_trunc",
+                                             "dy_round_nearest", "dy_ulp")]
+    assert [type(x) for x in values] == [Fraction] * len(values)
+
+
+def test_oracle_shares_only_the_integer_check_with_srlab():
+    # the oracle must not reuse the float primitives it checks
+    tree = ast.parse(Path(dyadic.__file__).read_text(encoding="utf-8"))
+    shared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            shared |= {a.name for a in node.names if a.name.split(".")[0] == "srlab"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "srlab"):
+            shared |= {a.name for a in node.names}
+    assert shared == {"check_int"}
 
 
 def test_q_examples():
@@ -113,9 +148,9 @@ def test_q_r_converges_to_q():
 
 def test_exact_sum_and_dot():
     vals = [0.1, 0.2, 0.3, -0.6]
-    assert exact_sum(vals).as_fraction() == sum(Fraction(v) for v in vals)
+    assert exact_sum(vals) == sum(Fraction(v) for v in vals)
     a, b = [1.5, 2.5], [2.0, -1.0]
-    assert exact_dot(a, b).as_fraction() == Fraction(3) - Fraction(5, 2)
+    assert exact_dot(a, b) == Fraction(3) - Fraction(5, 2)
     with pytest.raises(ValueError):
         exact_dot([1.0], [1.0, 2.0])
 
@@ -123,7 +158,7 @@ def test_exact_sum_and_dot():
 @given(st.lists(substrate_floats, max_size=12))
 @settings(max_examples=300)
 def test_exact_sum_equals_fraction_sum(vals):
-    assert exact_sum(vals).as_fraction() == sum(map(Fraction, vals), Fraction(0))
+    assert exact_sum(vals) == sum(map(Fraction, vals), Fraction(0))
 
 
 @given(st.lists(st.tuples(substrate_floats, substrate_floats), max_size=12))
@@ -131,18 +166,20 @@ def test_exact_sum_equals_fraction_sum(vals):
 def test_exact_dot_equals_fraction_sum(pairs):
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
     want = sum((Fraction(x) * Fraction(y) for x, y in pairs), Fraction(0))
-    assert exact_dot(a, b).as_fraction() == want
+    assert exact_dot(a, b) == want
 
 
 def test_exact_references_edge_cases():
-    assert exact_sum([]) == DY_ZERO == exact_dot([], [])
-    assert exact_sum([0.0, -0.0]) == DY_ZERO
+    assert exact_sum([]) == 0 == exact_dot([], [])
+    assert exact_sum([0.0, -0.0]) == 0
     wide = [1e308, -5e-324, 0.0, -1e308, 3.0, 2.0 ** -1074]
     assert exact_sum(wide) == dy_from_float(3.0)
     assert exact_dot(wide, [1.0, 4.0, 7.0, 1.0, -1.0, 4.0]) == dy_from_float(-3.0)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             exact_sum([1.0, bad])
+        with pytest.raises(ValueError):  # a float64 array skips only the exactness check
+            exact_sum(np.array([1.0, bad]))
         with pytest.raises(ValueError):
             exact_dot([1.0, 2.0], [bad, 1.0])
 
@@ -157,21 +194,21 @@ def test_exact_sum_at_scale_needs_the_limbs():
     # each below 2**27
     big = float((2**53 - 1) * 2**40)
     vals = [big, -big] * 5000 + [big] * 3
-    assert exact_sum(vals).as_fraction() == 3 * Fraction(big)
-    assert exact_sum(vals[:10003]).as_fraction() == _fraction_sum(map(Fraction, vals[:10003]))
+    assert exact_sum(vals) == 3 * Fraction(big)
+    assert exact_sum(vals[:10003]) == _fraction_sum(map(Fraction, vals[:10003]))
     same_sign = [big] * 10000 + [2.0 ** -30]
-    assert exact_sum(same_sign).as_fraction() == _fraction_sum(map(Fraction, same_sign))
+    assert exact_sum(same_sign) == _fraction_sum(map(Fraction, same_sign))
 
 
 def test_exact_sum_over_the_whole_binary64_range():
     dbl_max = sys.float_info.max
     vals = [dbl_max, 5e-324, -0.0, 0.0, 2.0 ** -1022, -(2.0 ** -1074) * 12345,
             1.0, -dbl_max, dbl_max, 2.0 ** -1073 + 2.0 ** -1074, -3.5e-310, 1e300]
-    assert exact_sum(vals).as_fraction() == _fraction_sum(map(Fraction, vals))
-    assert exact_sum([-dbl_max, -dbl_max]).as_fraction() == -2 * Fraction(dbl_max)
+    assert exact_sum(vals) == _fraction_sum(map(Fraction, vals))
+    assert exact_sum([-dbl_max, -dbl_max]) == -2 * Fraction(dbl_max)
     b = vals[::-1]
     want = _fraction_sum(Fraction(x) * Fraction(y) for x, y in zip(vals, b))
-    assert exact_dot(vals, b).as_fraction() == want
+    assert exact_dot(vals, b) == want
 
 
 def test_exact_dot_of_full_mantissas():
@@ -183,7 +220,7 @@ def test_exact_dot_of_full_mantissas():
     a[:8] = [(2.0**53 - 1) * 2.0**900] * 8
     b[:8] = [-(2.0**53 - 1) * 2.0**-1020, 2.0**-1074] * 4
     want = _fraction_sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
-    assert exact_dot(a, b).as_fraction() == want
+    assert exact_dot(a, b) == want
 
 
 def test_exact_sum_in_chunks(monkeypatch):
@@ -191,9 +228,9 @@ def test_exact_sum_in_chunks(monkeypatch):
     # 7 terms take the same path a huge input would
     monkeypatch.setattr(dyadic, "_CHUNK", 7)
     vals = [float((2**53 - 1) * 2**40), 0.1, -3e-300, 2.0**-1074] * 13
-    assert exact_sum(vals).as_fraction() == _fraction_sum(map(Fraction, vals))
+    assert exact_sum(vals) == _fraction_sum(map(Fraction, vals))
     want = _fraction_sum(Fraction(x) * Fraction(x) for x in vals)
-    assert exact_dot(vals, vals).as_fraction() == want
+    assert exact_dot(vals, vals) == want
 
 
 # a numpy integer scalar compares with a float as a float, so == alone misses
@@ -212,11 +249,11 @@ def test_exact_references_refuse_values_that_are_not_binary64(bad):
     with pytest.raises(ValueError):  # a numpy int array too
         exact_sum(np.array([1, 2**53 + 1]))
     # an int that is a binary64 value is summed as one
-    assert exact_sum([1.0, 2**60, 3]).as_fraction() == 2**60 + 4
+    assert exact_sum([1.0, 2**60, 3]) == 2**60 + 4
 
 
 def _fraction_rel_error(value, exact):
-    return float(abs(Fraction(value) - exact.as_fraction()) / abs(exact.as_fraction()))
+    return float(abs(Fraction(value) - exact) / abs(exact))
 
 
 wide_floats = st.builds(
@@ -233,7 +270,7 @@ wide_floats = st.builds(
 @settings(max_examples=400)
 def test_rel_error_keeps_the_fraction_bits(value, terms):
     exact = exact_sum(terms)
-    if exact.sign == 0:
+    if exact == 0:
         return
     try:
         want = _fraction_rel_error(value, exact)
@@ -266,5 +303,5 @@ def test_rel_error_edges():
 def test_rel_error():
     assert rel_error(1.0, dy_from_float(1.0)) == 0.0
     assert rel_error(1.5, dy_from_float(1.0)) == 0.5
-    assert rel_error(1.0, DY_ZERO) == math.inf
-    assert rel_error(0.0, DY_ZERO) == 0.0
+    assert rel_error(1.0, 0) == math.inf
+    assert rel_error(0.0, 0) == 0.0

@@ -178,6 +178,22 @@ def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_stale_temporary_of_a_killed_run_is_replaced(tmp_path):
+    # a run killed before its rename leaves <csv>.<pid>.tmp; pids are reused
+    path = tmp_path / "out.csv"
+    stale = tmp_path / f"out.csv.{os.getpid()}.tmp"
+    stale.write_text("half a table")
+    stale.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        write_rows(path, [(1, "rn", 0.5, 0.0)])
+    finally:
+        os.umask(old)
+    assert path.read_text() == "n_or_k,mode,value,stderr\n1,rn,0.5,0\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 _EDGE_VALUES = [
     math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
 ]
@@ -298,13 +314,13 @@ def test_draw_uniform_p_matches_scalar_rounding(p):
     got = _draw_uniform_p(rng, len(words), fmt)
     assert rng.drawn == len(words)
     want = [round_nearest(float(w) * _INV_2_53, fmt) for w in words]
-    assert [type(v) for v in got] == [float] * len(words)
+    assert got.dtype == np.float64
     assert [v.hex() for v in got] == [v.hex() for v in want]
     # the same words from a real stream, with the position left after n words
     a, b = RngStream(5, 1), RngStream(5, 1)
     got = _draw_uniform_p(a, 300, fmt)
     want = [round_nearest(float(w) * _INV_2_53, fmt) for w in b.bits_array(53, 300)]
-    assert got == want
+    assert got.tolist() == want
     assert a.next_bits(64) == b.next_bits(64)
 
 

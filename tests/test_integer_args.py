@@ -11,6 +11,9 @@ from srlab.bounds import (
     tail_roundoff, unit_roundoff,
 )
 from srlab.cli import _check, _n_grid
+from srlab.dyadic import (
+    dy_ceil, dy_floor, dy_from_float, dy_q, dy_round_nearest, dy_trunc, dy_ulp,
+)
 from srlab.experiments import ExperimentSpec, run_rosenbrock, run_sum_experiment
 from srlab.kernels import gd_rosenbrock
 from srlab.rounding import FpFormat, truncate
@@ -19,6 +22,7 @@ from srlab.sr import RngStream, SrConfig, sr_config, sr_sample
 
 _SUM = dict(kind="sum", r_list=(3,), n_grid=(10,), trials=2)
 _ROUND = dict(value=1.3, p=11, r=3, samples=4, seed=0)
+_V = dy_from_float(1.3)
 
 
 def _sum(**fields):
@@ -64,6 +68,13 @@ ENTRIES = {
     "cli round --samples": (lambda v: _check("round", dict(_ROUND, samples=v)), 4),
     "cli round --seed": (lambda v: _check("round", dict(_ROUND, seed=v)), 3),
     "cli --n-max": (lambda v: _n_grid({"n_grid": None, "n_max": v}), 100),
+    "dy_floor p": (lambda v: dy_floor(_V, v), 7),
+    "dy_ceil p": (lambda v: dy_ceil(_V, v), 7),
+    "dy_trunc width": (lambda v: dy_trunc(_V, v), 7),
+    "dy_round_nearest p": (lambda v: dy_round_nearest(_V, v), 7),
+    "dy_ulp p": (lambda v: dy_ulp(_V, v), 7),
+    "dy_q p": (lambda v: dy_q(_V, v, 3), 11),
+    "dy_q r": (lambda v: dy_q(_V, 11, v), 3),
 }
 
 
@@ -80,3 +91,11 @@ def test_non_integer_argument_is_refused(entry, bad):
 def test_numpy_integer_argument_acts_as_the_int(entry, cast):
     call, good = ENTRIES[entry]
     assert call(cast(good)) == call(good)
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if e.startswith("dy_")])
+def test_oracle_refuses_a_width_below_one(entry):
+    # the exact oracle has no upper limit, but a width or r below 1 is no grid
+    call, _ = ENTRIES[entry]
+    with pytest.raises(ValueError, match=">= 1, got 0"):
+        call(0)
