@@ -89,10 +89,13 @@ def _scaled(kappa: float, term: float) -> float:
 
 def _cond(total: Fraction, total_abs: Fraction) -> float:
     """total_abs / |total| of the exact sums of |t_i| and t_i; +inf when the
-    sum is zero but some term is not."""
+    sum is zero but some term is not, or the ratio is beyond binary64."""
     if total == 0:
         return 1.0 if total_abs == 0 else math.inf
-    return float(total_abs / abs(total))
+    try:
+        return float(total_abs / abs(total))
+    except OverflowError:
+        return math.inf
 
 
 def cond_sum(a) -> float:

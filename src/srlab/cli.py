@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds, experiments
 from .dyadic import dy_from_float, dy_q
-from .rounding import SubstrateRangeError, check_int, round_down, round_up, truncate, ulp
+from .rounding import check_int, round_down, round_up, truncate, ulp
 from .sr import IDEAL, KEY_MAX, RngStream, sr_config, sr_sample
 
 
@@ -127,6 +127,9 @@ _COMMANDS = {
     "suggest-r": "random-bit budget for a problem size",
 }
 
+# the options that set the n grid
+_GRID_KEYS = ("n_grid", "n_max")
+
 # option dest -> ExperimentSpec field, where the names differ
 _SPEC_FIELD = {"r": "r_list", "t": "step"}
 
@@ -233,6 +236,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         config = _read_config(args.config, args.command, parser)
+        # a grid given by either flag beats the file's grid by either key
+        bare = build_parser({args.command: dict.fromkeys(_GRID_KEYS)}).parse_args(argv)
+        if any(getattr(bare, k) is not None for k in _GRID_KEYS):
+            config = {k: v for k, v in config.items() if k not in _GRID_KEYS}
         args = build_parser({args.command: config}).parse_args(argv)
     opts = vars(args)
     try:
@@ -246,7 +253,7 @@ def main(argv=None) -> int:
             print(target)
         else:
             _experiment(target)
-    except (ValueError, SubstrateRangeError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # range errors and overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

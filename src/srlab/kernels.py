@@ -55,10 +55,6 @@ class GdTrajectory:
     mode: str
     diverged: bool = False
 
-    @property
-    def iterates(self) -> list[tuple[float, float]]:
-        return list(zip(self.x1, self.x2))
-
 
 def _check_inputs(label: str, values, cfg: SrConfig) -> None:
     for i, v in enumerate(values):

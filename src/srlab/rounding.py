@@ -56,11 +56,6 @@ class FpFormat:
         # cached Veltkamp splitting constant for round_nearest
         object.__setattr__(self, "split", float(2 ** (SUBSTRATE_WIDTH - self.p) + 1))
 
-    @property
-    def unit_roundoff(self) -> float:
-        """2**(1-p), the relative error scale of this format."""
-        return math.ldexp(1.0, 1 - self.p)
-
 
 def _decode(x: float, width: int) -> tuple[int, int, int]:
     """Split finite x at ``width`` significand bits: ``(sig, rem, exp)``.

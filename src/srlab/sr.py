@@ -230,34 +230,30 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
 
 
 def enumerate_distribution(x: float, cfg: SrConfig) -> tuple[float, float, int]:
-    """Exhaust all 2**r draws of the mechanism for x.
+    """The law of :func:`sr_round` at x over all 2**r draws, for any r.
 
     Returns ``(lower, upper, up_count)`` where ``up_count`` of the 2**r
     equally likely draws give the upper neighbor by :func:`sr_round`'s
     add-and-carry step.  A value on the grid is its own neighbors; a
     neighbor that no draw reaches is infinite when it overflows.
     """
-    if cfg.r_bits > 20:
-        raise ValueError("exhaustive enumeration capped at r <= 20")
     d = _off_grid(x, cfg)
     if d is None:
         return x, x, 0
+    # k + z carries out of r bits for exactly the k draws z >= 2**r - k
     sig, exp, k = d
-    r = cfg.r_bits
-    m = 1 << r
-    carries = int(((k + np.arange(m, dtype=np.int64)) >> r).sum())
     neg = x < 0
     lo_mag = _rebuild(neg, sig, exp)  # z = 0 never carries, as k < 2**r
     try:
         hi_mag = _rebuild(neg, sig + 1, exp)
     except SubstrateRangeError:  # it overflows: lo_mag is normal
-        if carries:
+        if k:
             raise
         hi_mag = math.copysign(math.inf, x)
     if not neg:
-        return lo_mag, hi_mag, carries
+        return lo_mag, hi_mag, k
     # magnitude growth means rounding toward -inf; count of upper = non-carries
-    return hi_mag, lo_mag, m - carries
+    return hi_mag, lo_mag, (1 << cfg.r_bits) - k
 
 
 def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:

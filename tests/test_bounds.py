@@ -111,6 +111,8 @@ def test_cond_sum_examples():
     assert cond_sum([2.0, -1.0]) == 3.0
     assert cond_sum([1.0, -1.0]) == math.inf
     assert cond_sum([0.0, 0.0]) == 1.0
+    # a finite ratio beyond binary64 reads as infinite, like a zero sum
+    assert cond_sum([1e300, -1e300, 5e-324]) == math.inf
     with pytest.raises(ValueError):
         cond_sum([])
 
@@ -119,6 +121,7 @@ def test_cond_inner_examples():
     assert cond_inner([1.0, 2.0], [3.0, 4.0]) == 1.0
     assert cond_inner([1.0, 1.0], [1.0, -1.0]) == math.inf
     assert cond_inner([1.0, 0.0], [1.0, 5.0]) == 1.0
+    assert cond_inner([1e300, 1e300, 5e-324], [1e8, -1e8, 1.0]) == math.inf
     with pytest.raises(ValueError):
         cond_inner([1.0], [1.0, 2.0])
 

@@ -91,6 +91,21 @@ def test_input_file_with_zero_exact_value_exits_1(kind, text, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_relative_error_beyond_binary64_exits_1(tmp_path, capsys):
+    # the exact sum is 2**-1074 and the result 0.0, so the relative error is
+    # 2**1074: its OverflowError is one error line, not a traceback
+    data = tmp_path / "vec.txt"
+    data.write_text("1152921504606846976\n1.0\n-1152921504606846976\n-1.0\n5e-324\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sum", "--r", "3", "--trials", "2", "--input-file", str(data), "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["round", "--value", "1.0", "--nope", "3"])
@@ -321,11 +336,18 @@ def test_config_file_error_message(data, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, name",
-    [([], "bounds-table_p11_r3-7.csv"), (["--r", "5"], "bounds-table_p11_r5.csv")],
-    ids=["config-beats-default", "flag-beats-config"],
+    "flags, name, grid",
+    [
+        ([], "bounds-table_p11_r3-7.csv", [10, 20]),
+        (["--r", "5"], "bounds-table_p11_r5.csv", [10, 20]),
+        # a grid flag, either one, beats the file's grid
+        (["--n-max", "40"], "bounds-table_p11_r3-7.csv", [10, 20, 40]),
+        (["--n-grid", "30"], "bounds-table_p11_r3-7.csv", [30]),
+    ],
+    ids=["config-beats-default", "flag-beats-config", "n-max-beats-n-grid",
+         "n-grid-beats-n-grid"],
 )
-def test_config_list_options_and_dashed_key(flags, name, tmp_path, capsys):
+def test_config_list_options_and_dashed_key(flags, name, grid, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n-grid = 10,20\nr = 3,7\n")
     out = tmp_path / "out"
@@ -335,7 +357,7 @@ def test_config_list_options_and_dashed_key(flags, name, tmp_path, capsys):
     assert code == 0
     assert [p.name for p in out.iterdir()] == [name]
     lines = (out / name).read_text().splitlines()[1:]
-    assert sorted({int(line.split(",")[0]) for line in lines}) == [10, 20]
+    assert sorted({int(line.split(",")[0]) for line in lines}) == grid
 
 
 @pytest.mark.parametrize("command", ["sum", "dot", "rosenbrock", "bounds-table"])

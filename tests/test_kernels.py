@@ -168,14 +168,14 @@ def test_rosenbrock_values():
 
 def test_gd_zero_gradient_is_fixed_point():
     traj = gd_rosenbrock((1.0, 1.0), 0.001, 50, sr_config(11, 8), RngStream(0, 0))
-    assert all(pt == (1.0, 1.0) for pt in traj.iterates)
+    assert all(v == 1.0 for v in traj.x1 + traj.x2)
     assert all(loss == 0.0 for loss in traj.loss_series)
     assert not traj.diverged
 
 
 def test_gd_zero_iterations():
     traj = gd_rosenbrock((0.5, 0.5), 0.001, 0, rn_config(11), RngStream(0, 0))
-    assert traj.iterates == [(0.5, 0.5)]
+    assert (traj.x1, traj.x2) == ([0.5], [0.5])
     assert len(traj.loss_series) == 1
 
 
@@ -183,28 +183,28 @@ def test_gd_one_substrate_step():
     # from (0,0) with t = 0.001 the first step lands at (0.002, 0);
     # loss frozen from a 40-digit evaluation of f at that float
     traj = gd_rosenbrock((0.0, 0.0), 0.001, 1, rn_config(53), RngStream(0, 0))
-    assert traj.iterates[1] == (0.001 * 2.0, 0.0)
+    assert (traj.x1[1], traj.x2[1]) == (0.001 * 2.0, 0.0)
     assert traj.loss_series[1] == pytest.approx(0.99600400159999999992, rel=1e-14)
 
 
 def test_gd_deterministic_given_stream():
     a = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), RngStream(5, 7))
     b = gd_rosenbrock((0.0, 0.0), 0.001, 200, sr_config(11, 6), RngStream(5, 7))
-    assert a.iterates == b.iterates
+    assert (a.x1, a.x2) == (b.x1, b.x2)
     assert a.loss_series == b.loss_series
 
 
 def test_gd_divergence_flag():
     traj = gd_rosenbrock((0.0, 0.0), 1e120, 10, rn_config(53), RngStream(0, 0))
     assert traj.diverged
-    assert len(traj.iterates) < 11
+    assert len(traj.x1) == len(traj.x2) < 11
 
 
 def test_gd_loss_overflow_is_divergence():
     # (1 - x1) ** 2 raises OverflowError instead of returning inf
     traj = gd_rosenbrock((0.5, 0.5), 0.01, 200, sr_config(11, 3), RngStream(1, 0))
     assert traj.diverged
-    assert len(traj.loss_series) == len(traj.iterates) < 201
+    assert len(traj.loss_series) == len(traj.x1) == len(traj.x2) < 201
     assert all(math.isfinite(loss) for loss in traj.loss_series)
 
 
@@ -213,7 +213,7 @@ def test_gd_non_finite_gradient_is_divergence():
     # raising), and so is its gradient: the start itself has diverged
     traj = gd_rosenbrock((1e120, 0.0), 0.001, 10, rn_config(11), RngStream(0, 0))
     assert traj.diverged
-    assert traj.iterates == []
+    assert traj.x1 == traj.x2 == []
     assert traj.loss_series == []
 
 
@@ -222,7 +222,7 @@ def test_gd_start_loss_overflow_is_divergence():
     for cfg in (sr_config(11, 3), rn_config(11), rn_config(53)):
         traj = gd_rosenbrock((1e200, 0.0), 0.001, 3, cfg, RngStream(0, 0))
         assert traj.diverged
-        assert traj.iterates == []
+        assert traj.x1 == traj.x2 == []
         assert traj.loss_series == []
 
 
@@ -384,13 +384,11 @@ def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
     got_rng, want_rng = RngStream(3, 1), RngStream(3, 1)
     got = gd_rosenbrock(start, t, 300, cfg, got_rng)
     want = _gd_reference(start, t, 300, cfg, want_rng)
-    assert [(a.hex(), b.hex()) for a, b in got.iterates] == [
-        (a.hex(), b.hex()) for a, b in want.iterates
-    ]
+    assert [v.hex() for v in got.x1] == [v.hex() for v in want.x1]
+    assert [v.hex() for v in got.x2] == [v.hex() for v in want.x2]
     # the iterates are two coordinate lists, one point per loss
     assert len(got.x1) == len(got.x2) == len(got.loss_series)
     assert all(type(v) is float for v in got.x1 + got.x2)
-    assert got.iterates == list(zip(got.x1, got.x2))
     assert [v.hex() for v in got.loss_series] == [v.hex() for v in want.loss_series]
     assert got.diverged == want.diverged
     assert got.mode == want.mode

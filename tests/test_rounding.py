@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srlab.bounds import unit_roundoff
 from srlab.dyadic import (
     dy_ceil,
     dy_exponent,
@@ -139,7 +140,7 @@ def test_monotone_refinement(x, p, r1, dr):
 def test_round_nearest_error_bound(x, p):
     fmt = FpFormat(p)
     y = round_nearest(x, fmt)
-    u = fmt.unit_roundoff
+    u = unit_roundoff(p)
     assert abs(y - x) <= abs(x) * (u / (2.0 + u)) * (1 + 1e-15)
     assert y in (round_down(x, fmt), round_up(x, fmt))
 
@@ -256,4 +257,3 @@ def test_fpformat_validation():
         FpFormat(1)
     with pytest.raises(ValueError):
         FpFormat(54)
-    assert FpFormat(11).unit_roundoff == 2.0 ** -10

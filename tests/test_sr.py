@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from srlab.bounds import unit_roundoff
 from srlab.dyadic import dy_ceil, dy_exponent, dy_floor, dy_from_float, dy_q, dy_to_float
 from srlab.rounding import (
     FpFormat,
@@ -428,6 +429,19 @@ def test_enumerate_distribution_is_the_sr_round_loop(x, p, r):
     assert ups == (out_bits.count(hi_bits) if hi_bits != lo_bits else 0)
 
 
+@pytest.mark.parametrize("p", [2, 11, 24])
+def test_enumerate_distribution_at_wide_r(p):
+    # the up-count is k itself, with no array of 2**r draws, so any r works
+    fmt = FpFormat(p)
+    values = random_substrate_values(48 + p, 200)
+    for r in (21, 53 - p):
+        cfg = sr_config(p, r)
+        for x in values:
+            lo, hi, ups = enumerate_distribution(x, cfg)
+            assert ups == dy_q(dy_from_float(x), p, r) * 2**r
+            assert (lo, hi) == (round_down(x, fmt), round_up(x, fmt))
+
+
 def test_sr_round_agrees_with_enumeration_draw_by_draw():
     values = random_substrate_values(42, 120)
     for i, x in enumerate(values):
@@ -481,7 +495,7 @@ def test_distribution_variance_identity():
             mean = q * Fraction(hi) + (1 - q) * Fraction(lo)
             var = q * (Fraction(hi) - mean) ** 2 + (1 - q) * (Fraction(lo) - mean) ** 2
             assert var == Fraction(ulp(x, fmt)) ** 2 * q * (1 - q)
-            assert var <= Fraction(x) ** 2 * Fraction(fmt.unit_roundoff) ** 2 / 4
+            assert var <= Fraction(x) ** 2 * Fraction(unit_roundoff(p)) ** 2 / 4
 
 
 def test_ideal_limit_matches_exact_probability():
