@@ -46,7 +46,7 @@ def _read_config(path: str, command: str, parser) -> dict:
     """The values of a ``key = value`` config file, each converted by its
     option's converter; a bad file, key or value exits 2 via ``parser``."""
     schema = _SCHEMAS[command]
-    values = {}
+    values, unknown = {}, set()  # dest -> (key, text): a later line wins
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -58,13 +58,15 @@ def _read_config(path: str, command: str, parser) -> dict:
         if "=" not in line:
             parser.error(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    unknown = set(values) - set(schema)
+        key = key.strip().replace("-", "_")
+        if key not in schema:
+            unknown.add(key)
+        values[_DEST.get(key, key)] = key, value.strip()
     if unknown:
         parser.error(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, value in values.items():
+    for dest, (key, value) in values.items():
         try:
-            values[key] = schema[key][0](value)
+            values[dest] = schema[key][0](value)
         except ValueError as exc:
             parser.error(f"config key {key}: {exc}")
     return values
@@ -72,18 +74,29 @@ def _read_config(path: str, command: str, parser) -> dict:
 
 _SPEC = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentSpec)}
 
-# options shared by several commands: dest -> (converter, default, help)
+
+def _doubling_grid(n_max) -> tuple:
+    """The n grid 10, 20, 40, ... up to n_max, an integer or its decimal text."""
+    n_max = check_int("n_max", int(n_max) if isinstance(n_max, str) else n_max, 1)
+    grid, n = [], 10
+    while n < n_max:
+        grid.append(n)
+        n *= 2
+    grid.append(n_max)
+    return tuple(grid)
+
+
+# options shared by several commands: key -> (converter, default, help)
 _P = {"p": (int, _SPEC["p"], "target precision (significand bits)")}
 _R_LIST = {"r": (_parse_r_list, _SPEC["r_list"], "random bits, comma list, e.g. 3,7,ideal")}
-_N_GRID = {"n_grid": (_parse_int_list, None, "problem sizes, comma list")}
 _TRIALS = {
     "trials": (int, _SPEC["trials"], "Monte Carlo trials"),
     "seed": (int, _SPEC["seed"], "random seed"),
 }
 _OUT_DIR = {"out_dir": (str, _SPEC["out_dir"], "directory for the CSV files")}
 
-# per-command options: dest -> (converter, default, help).  Each option is the
-# flag --<dest> with '_' written '-' (--lambda for lam) and the config key <dest>.
+# per-command options: key -> (converter, default, help).  Each option is the
+# flag --<key> with '_' written '-' (--lambda for lam) and the config key <key>.
 _SCHEMAS = {
     "round": {
         "value": (float, None, "value to round"),
@@ -93,8 +106,9 @@ _SCHEMAS = {
         "seed": (int, 0, "random seed"),
     },
     "sum": {
-        **_P, **_R_LIST, **_N_GRID,
-        "n_max": (int, None, "grid 10, 20, 40, ... up to n_max"),
+        **_P, **_R_LIST,
+        "n_grid": (_parse_int_list, _SPEC["n_grid"], "problem sizes, comma list"),
+        "n_max": (_doubling_grid, _SPEC["n_grid"], "grid 10, 20, 40, ... up to n_max"),
         **_TRIALS, **_OUT_DIR,
         "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
     },
@@ -108,8 +122,9 @@ _SCHEMAS = {
     "bounds-table": {
         **_P, **_R_LIST,
         "lam": (float, _SPEC["lam"], "failure probability"),
-        **_N_GRID,
-        "n_max": (int, _SPEC["n_grid"][-1], "grid 10, 20, 40, ... up to n_max"),
+        # the documented --n-max 6000 grid
+        "n_grid": (_parse_int_list, _doubling_grid(6000), "problem sizes, comma list"),
+        "n_max": (_doubling_grid, _doubling_grid(6000), "grid 10, 20, 40, ... up to n_max"),
         **_OUT_DIR,
     },
     "suggest-r": {
@@ -127,27 +142,11 @@ _COMMANDS = {
     "suggest-r": "random-bit budget for a problem size",
 }
 
-# the options that set the n grid
-_GRID_KEYS = ("n_grid", "n_max")
+# option key -> its dest, where two options set one value (the last given wins)
+_DEST = {"n_max": "n_grid"}
 
 # option dest -> ExperimentSpec field, where the names differ
 _SPEC_FIELD = {"r": "r_list", "t": "step"}
-
-
-def _n_grid(opts) -> tuple:
-    """--n-grid, else 10, 20, 40, ... up to --n-max, else the default grid."""
-    if opts["n_grid"] is not None:
-        return opts["n_grid"]
-    n_max = opts["n_max"]
-    if n_max is None:
-        return _SPEC["n_grid"]
-    n_max = check_int("n_max", n_max, 1)
-    grid, n = [], 10
-    while n < n_max:
-        grid.append(n)
-        n *= 2
-    grid.append(n_max)
-    return tuple(grid)
 
 
 def _check(command: str, opts):
@@ -170,8 +169,6 @@ def _check(command: str, opts):
         return bounds.rule_of_thumb_r(opts["n"])
     fields = {_SPEC_FIELD.get(k, k): v for k, v in opts.items()}
     fields = {k: v for k, v in fields.items() if k in _SPEC}
-    if "n_max" in opts:
-        fields["n_grid"] = _n_grid(opts)
     if opts.get("start"):
         fields["starts"] = (opts["start"],)
     return experiments.ExperimentSpec(kind=command, **fields)
@@ -222,9 +219,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     for name, help_text in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key = value config file; flags win")
-        for dest, (conv, default, help_opt) in _SCHEMAS[name].items():
-            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
-            sp.add_argument(flag, dest=dest, type=conv, default=default, help=help_opt)
+        for key, (conv, default, help_opt) in _SCHEMAS[name].items():
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            sp.add_argument(flag, dest=_DEST.get(key, key), type=conv, default=default,
+                            metavar=key.upper(), help=help_opt)
         # argparse runs a str default through `type` again, so a converter must
         # map each str it returns (out_dir, input_file, round's r) to itself
         sp.set_defaults(**(config or {}).get(name, {}))
@@ -236,10 +234,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         config = _read_config(args.config, args.command, parser)
-        # a grid given by either flag beats the file's grid by either key
-        bare = build_parser({args.command: dict.fromkeys(_GRID_KEYS)}).parse_args(argv)
-        if any(getattr(bare, k) is not None for k in _GRID_KEYS):
-            config = {k: v for k, v in config.items() if k not in _GRID_KEYS}
         args = build_parser({args.command: config}).parse_args(argv)
     opts = vars(args)
     try:

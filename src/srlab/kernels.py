@@ -12,10 +12,9 @@ coordinate with the configured mode.  A p = 53 round-to-nearest
 configuration degenerates to the plain binary64 baseline.  The descent
 loop evaluates each iterate's loss and the next gradient from one shared
 ``d = x2 - x1*x1``, with the operations of ``rosenbrock_f`` and
-``rosenbrock_grad`` in their order, and rounds the gradient with
-``round_nearest``'s Veltkamp split inline; every other gradient value
-goes to ``round_nearest`` itself.  The iterates are kept as two float
-lists, with no per-point tuple for the garbage collector to track.
+``rosenbrock_grad`` in their order, and rounds each gradient coordinate
+with ``round_nearest``.  The iterates are kept as two float lists, with
+no per-point tuple for the garbage collector to track.
 """
 
 from __future__ import annotations
@@ -26,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import exact_dot, exact_sum, rel_error
-from .rounding import (
-    _SPLIT_MAX,
-    _SPLIT_MIN,
-    SubstrateRangeError,
-    check_int,
-    is_representable,
-    round_nearest,
-)
+from .rounding import SubstrateRangeError, check_int, is_representable, round_nearest
 from .sr import MODE_SR, RngStream, SrConfig, sr_round
 
 
@@ -172,7 +164,6 @@ def gd_rosenbrock(
     if not 0.0 < t < math.inf:  # nan fails too
         raise ValueError(f"step size must be positive and finite, got {t!r}")
     fmt = cfg.fmt
-    split = fmt.split
     step = _stepper(cfg)
     x1 = round_nearest(x0[0], fmt)
     x2 = round_nearest(x0[1], fmt)
@@ -190,20 +181,9 @@ def gd_rosenbrock(
             xs1.append(x1)
             xs2.append(x2)
             losses.append(loss)
-            g1 = -2.0 * (1.0 - x1) - 400.0 * x1 * d
-            g2 = 200.0 * d
-            # round_nearest's split branch; zero, a non-finite gradient (a
-            # ValueError) and magnitudes outside the guard take its integer path
-            if _SPLIT_MIN < abs(g1) < _SPLIT_MAX:
-                c = g1 * split
-                g1 = c - (c - g1)
-            else:
-                g1 = round_nearest(g1, fmt)
-            if _SPLIT_MIN < abs(g2) < _SPLIT_MAX:
-                c = g2 * split
-                g2 = c - (c - g2)
-            else:
-                g2 = round_nearest(g2, fmt)
+            # a non-finite gradient raises ValueError: a divergence
+            g1 = round_nearest(-2.0 * (1.0 - x1) - 400.0 * x1 * d, fmt)
+            g2 = round_nearest(200.0 * d, fmt)
             x1 = step(x1 - t * g1, cfg, rng)
             x2 = step(x2 - t * g2, cfg, rng)
             d = x2 - x1 * x1

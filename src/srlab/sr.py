@@ -173,26 +173,15 @@ def _off_grid(x: float, cfg: SrConfig) -> tuple[int, int, int] | None:
     return sig, exp, rem >> cfg.shift_pr
 
 
-def q_r_numerator(x: float, cfg: SrConfig) -> int:
-    """Integer k such that the round-up probability of x is exactly k / 2**r.
-
-    k = 0 when x is representable at precision p; k may reach 2**r for
-    negative inputs whose magnitude truncates onto the grid.
-    """
-    d = _off_grid(x, cfg)
-    if d is None:
-        return 0
-    return d[2] if x > 0 else (1 << cfg.r_bits) - d[2]
-
-
 def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     """Stochastically round x to precision p using r random bits.
 
-    Returns the upper neighbor with probability ``q_r_numerator(x)/2**r``
-    and the lower neighbor otherwise.  No randomness is consumed when x is
-    already representable.  When ``2**-960 < |x| < 2**960``, x rounds away
-    from zero iff ``|rem| + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem``
-    the exact ``fmod`` of x by its grid spacing and z the r-bit draw.
+    Returns the upper neighbor with probability ``up_count/2**r``, the
+    count of :func:`enumerate_distribution`, and the lower one otherwise.
+    No randomness is consumed when x is already representable.  When
+    ``2**-960 < |x| < 2**960``, x rounds away from zero iff
+    ``|rem| + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem`` the exact
+    ``fmod`` of x by its grid spacing and z the r-bit draw.
     """
     # Hot path, float operations only, one branch per sign: with u the
     # substrate ulp of x and up = u * 2**(53-p) the precision-p spacing,

@@ -336,20 +336,25 @@ def test_config_file_error_message(data, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, name, grid",
+    "flags, name, grid, more",
     [
-        ([], "bounds-table_p11_r3-7.csv", [10, 20]),
-        (["--r", "5"], "bounds-table_p11_r5.csv", [10, 20]),
-        # a grid flag, either one, beats the file's grid
-        (["--n-max", "40"], "bounds-table_p11_r3-7.csv", [10, 20, 40]),
-        (["--n-grid", "30"], "bounds-table_p11_r3-7.csv", [30]),
+        ([], "bounds-table_p11_r3-7.csv", [10, 20], ""),
+        (["--r", "5"], "bounds-table_p11_r5.csv", [10, 20], ""),
+        # a grid flag, either one, beats the file's grid; the last one given wins
+        (["--n-max", "40"], "bounds-table_p11_r3-7.csv", [10, 20, 40], ""),
+        (["--n-grid", "30"], "bounds-table_p11_r3-7.csv", [30], ""),
+        (["--n-grid", "10", "--n-max", "40"], "bounds-table_p11_r3-7.csv", [10, 20, 40], ""),
+        (["--n-max", "40", "--n-grid", "30"], "bounds-table_p11_r3-7.csv", [30], ""),
+        # so does the file's later grid key
+        ([], "bounds-table_p11_r3-7.csv", [10, 20, 40], "n_max = 40\n"),
     ],
     ids=["config-beats-default", "flag-beats-config", "n-max-beats-n-grid",
-         "n-grid-beats-n-grid"],
+         "n-grid-beats-n-grid", "last-n-max-wins", "last-n-grid-wins",
+         "config-last-n-max-wins"],
 )
-def test_config_list_options_and_dashed_key(flags, name, grid, tmp_path, capsys):
+def test_config_list_options_and_dashed_key(flags, name, grid, more, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-grid = 10,20\nr = 3,7\n")
+    cfg.write_text("n-grid = 10,20\nr = 3,7\n" + more)
     out = tmp_path / "out"
     code, _, _ = run_cli(
         ["bounds-table", "--config", str(cfg), "--out-dir", str(out), *flags], capsys

@@ -10,7 +10,7 @@ from srlab.bounds import (
     BoundQuery, ah_bound_sum, b_envelope, det_bound_sum, gamma, rule_of_thumb_r,
     tail_roundoff, unit_roundoff,
 )
-from srlab.cli import _check, _n_grid
+from srlab.cli import _check, _doubling_grid
 from srlab.dyadic import (
     dy_ceil, dy_floor, dy_from_float, dy_q, dy_round_nearest, dy_trunc, dy_ulp,
 )
@@ -67,7 +67,7 @@ ENTRIES = {
     ),
     "cli round --samples": (lambda v: _check("round", dict(_ROUND, samples=v)), 4),
     "cli round --seed": (lambda v: _check("round", dict(_ROUND, seed=v)), 3),
-    "cli --n-max": (lambda v: _n_grid({"n_grid": None, "n_max": v}), 100),
+    "cli --n-max": (_doubling_grid, 100),
     "dy_floor p": (lambda v: dy_floor(_V, v), 7),
     "dy_ceil p": (lambda v: dy_ceil(_V, v), 7),
     "dy_trunc width": (lambda v: dy_trunc(_V, v), 7),

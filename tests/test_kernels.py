@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from srlab import kernels
 from srlab.dyadic import dy_from_float, exact_sum
 from srlab.kernels import (
     GdTrajectory,
@@ -393,3 +396,16 @@ def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
     assert got.diverged == want.diverged
     assert got.mode == want.mode
     assert got_rng.next_bits(64) == want_rng.next_bits(64)
+
+
+def test_descent_keeps_no_copy_of_the_veltkamp_split():
+    # the gradient goes to round_nearest: its split guard and constant live
+    # in srlab.rounding, and kernels.py neither imports nor reads them
+    tree = ast.parse(Path(kernels.__file__).read_text(encoding="utf-8"))
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert not imported & {"_SPLIT_MIN", "_SPLIT_MAX"}
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "split"
+                   for node in ast.walk(tree))

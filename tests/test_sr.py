@@ -23,7 +23,6 @@ from srlab.sr import (
     RngStream,
     SrConfig,
     enumerate_distribution,
-    q_r_numerator,
     rn_config,
     sr_config,
     sr_round,
@@ -43,7 +42,7 @@ def sr_round_comparison(x: float, cfg: SrConfig, rng) -> float:
     """
     if is_representable(x, cfg.fmt):  # zero or on the grid: no draw
         return x
-    k = q_r_numerator(x, cfg)
+    k = enumerate_distribution(x, cfg)[2]
     z = rng.next_bits(cfg.r_bits)
     return round_up(x, cfg.fmt) if z < k else round_down(x, cfg.fmt)
 
@@ -268,22 +267,22 @@ def test_config_validation():
     assert rn_config(53).label == "fp64"
 
 
-# ------------------------------------------------------------ q_r numerator
+# ----------------------------------------------------------------- up-count
 
 
-def test_q_r_numerator_examples():
-    assert q_r_numerator(1.3125, sr_config(2, 1)) == 1
-    assert q_r_numerator(1.3125, sr_config(2, 3)) == 5
-    assert q_r_numerator(1.5, sr_config(2, 4)) == 0
+def test_up_count_examples():
+    assert enumerate_distribution(1.3125, sr_config(2, 1))[2] == 1
+    assert enumerate_distribution(1.3125, sr_config(2, 3))[2] == 5
+    assert enumerate_distribution(1.5, sr_config(2, 4))[2] == 0
 
 
-def test_q_r_numerator_matches_oracle():
+def test_up_count_matches_oracle():
     values = random_substrate_values(31, 400)
     for i, x in enumerate(values):
         p = (2, 8, 11, 24)[i % 4]
         for r in (1, 2, 5, 9):
             cfg = sr_config(p, r)
-            k = q_r_numerator(x, cfg)
+            k = enumerate_distribution(x, cfg)[2]
             assert Fraction(k, 1 << r) == dy_q(dy_from_float(x), p, r)
 
 
@@ -452,7 +451,6 @@ def test_sr_round_agrees_with_enumeration_draw_by_draw():
             outcomes = [sr_round(x, cfg, FixedStream([z])) for z in range(1 << r)]
             assert sum(1 for o in outcomes if o == hi and hi != lo) == ups
             assert all(o in (lo, hi) for o in outcomes)
-            assert ups == q_r_numerator(x, cfg)
 
 
 def test_comparison_path_distribution_equivalent():
@@ -503,7 +501,7 @@ def test_ideal_limit_matches_exact_probability():
     for i, x in enumerate(values):
         p = (2, 8, 11, 24)[i % 4]
         cfg = sr_config(p, IDEAL)
-        k = q_r_numerator(x, cfg)
+        k = enumerate_distribution(x, cfg)[2]
         assert Fraction(k, 1 << cfg.r_bits) == dy_q(dy_from_float(x), p)
 
 
