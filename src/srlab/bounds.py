@@ -12,7 +12,7 @@ ideal (infinite random bits) limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dyadic import exact_dot, exact_sum
@@ -115,25 +115,9 @@ def cond_inner(a, b) -> float:
     return _cond(exact_dot(a, b), exact_dot([abs(x) for x in a], [abs(y) for y in b]))
 
 
-def _bias_bound(m: int, q: BoundQuery) -> float:
-    return _scaled(q.kappa, gamma(m, tail_roundoff(q.p, q.r)))
-
-
-def _ah_bound(m: int, q: BoundQuery) -> float:
-    u = unit_roundoff(q.p)
-    stochastic = math.sqrt(u * gamma(2 * m, u)) * math.sqrt(math.log(2.0 / q.lam))
-    return _scaled(q.kappa, stochastic + b_envelope(m, q.p, q.r))
-
-
-def _bc_bound(m: int, q: BoundQuery) -> float:
-    u = unit_roundoff(q.p)
-    stochastic = math.sqrt(gamma(m, u * u) / q.lam)
-    return _scaled(q.kappa, stochastic + b_envelope(m, q.p, q.r))
-
-
 def bias_bound_sum(q: BoundQuery) -> float:
     """Bound on |E(result) - sum| / |sum| for recursive summation."""
-    return _bias_bound(q.n - 1, q)
+    return _scaled(q.kappa, gamma(q.n - 1, tail_roundoff(q.p, q.r)))
 
 
 def ah_bound_sum(q: BoundQuery) -> float:
@@ -143,7 +127,9 @@ def ah_bound_sum(q: BoundQuery) -> float:
              + gamma_{n-1}(u_p + u_{p+r}) - gamma_{n-1}(u_p)),
     valid with probability at least 1 - lambda.
     """
-    return _ah_bound(q.n - 1, q)
+    u = unit_roundoff(q.p)
+    stochastic = math.sqrt(u * gamma(2 * (q.n - 1), u)) * math.sqrt(math.log(2.0 / q.lam))
+    return _scaled(q.kappa, stochastic + b_envelope(q.n - 1, q.p, q.r))
 
 
 def bc_bound_sum(q: BoundQuery) -> float:
@@ -152,7 +138,9 @@ def bc_bound_sum(q: BoundQuery) -> float:
     kappa * (sqrt(gamma_{n-1}(u_p^2) / lambda)
              + gamma_{n-1}(u_p + u_{p+r}) - gamma_{n-1}(u_p)).
     """
-    return _bc_bound(q.n - 1, q)
+    u = unit_roundoff(q.p)
+    stochastic = math.sqrt(gamma(q.n - 1, u * u) / q.lam)
+    return _scaled(q.kappa, stochastic + b_envelope(q.n - 1, q.p, q.r))
 
 
 def det_bound_sum(n: int, p: int, kappa: float = 1.0) -> float:
@@ -162,16 +150,17 @@ def det_bound_sum(n: int, p: int, kappa: float = 1.0) -> float:
 
 
 def bias_bound_inner(q: BoundQuery) -> float:
-    """Inner-product version of bias_bound_sum (n roundings per term chain)."""
-    return _bias_bound(q.n, q)
+    """Inner-product version of bias_bound_sum.  n products round n times in a
+    chain, as a sum of n + 1 terms does: each *_inner is its *_sum at n + 1."""
+    return bias_bound_sum(replace(q, n=q.n + 1))
 
 
 def ah_bound_inner(q: BoundQuery) -> float:
-    return _ah_bound(q.n, q)
+    return ah_bound_sum(replace(q, n=q.n + 1))
 
 
 def bc_bound_inner(q: BoundQuery) -> float:
-    return _bc_bound(q.n, q)
+    return bc_bound_sum(replace(q, n=q.n + 1))
 
 
 def rule_of_thumb_r(n: int) -> int:

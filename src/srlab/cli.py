@@ -107,8 +107,9 @@ _SCHEMAS = {
     },
     "sum": {
         **_P, **_R_LIST,
-        "n_grid": (_parse_int_list, _SPEC["n_grid"], "problem sizes, comma list"),
-        "n_max": (_doubling_grid, _SPEC["n_grid"], "grid 10, 20, 40, ... up to n_max"),
+        # no grid given (None) runs ExperimentSpec's; --input-file refuses one
+        "n_grid": (_parse_int_list, None, "problem sizes, comma list"),
+        "n_max": (_doubling_grid, None, "grid 10, 20, 40, ... up to n_max"),
         **_TRIALS, **_OUT_DIR,
         "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
     },
@@ -167,8 +168,11 @@ def _check(command: str, opts):
         if opts["n"] is None:
             raise ValueError("--n is required")
         return bounds.rule_of_thumb_r(opts["n"])
+    if opts.get("input_file") is not None and opts["n_grid"] is not None:
+        raise ValueError("--input-file fixes n to the file's length: give no "
+                         "--n-grid, --n-max, n_grid or n_max with it")
     fields = {_SPEC_FIELD.get(k, k): v for k, v in opts.items()}
-    fields = {k: v for k, v in fields.items() if k in _SPEC}
+    fields = {k: v for k, v in fields.items() if k in _SPEC and v is not None}
     if opts.get("start"):
         fields["starts"] = (opts["start"],)
     return experiments.ExperimentSpec(kind=command, **fields)
@@ -208,9 +212,20 @@ def _experiment(spec: experiments.ExperimentSpec) -> None:
         print(f"wrote {path} ({elapsed:.2f}s)")
 
 
+def _own_message(conv):
+    """``conv`` for argparse, which prints a converter's name, not its ValueError."""
+    def convert(text):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The srlab parser.  ``config`` maps a command to its config-file values,
-    which replace its defaults: a flag beats the file, the file the default."""
+    which replace its defaults: a flag beats the file, the file the default.
+    Its ``commands`` maps each command to its own parser."""
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Limited-precision stochastic rounding laboratory",
@@ -221,25 +236,29 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--config", help="key = value config file; flags win")
         for key, (conv, default, help_opt) in _SCHEMAS[name].items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            if conv not in (int, float, str):  # argparse's messages name these well
+                conv = _own_message(conv)
             sp.add_argument(flag, dest=_DEST.get(key, key), type=conv, default=default,
                             metavar=key.upper(), help=help_opt)
         # argparse runs a str default through `type` again, so a converter must
         # map each str it returns (out_dir, input_file, round's r) to itself
         sp.set_defaults(**(config or {}).get(name, {}))
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command_parser = parser.commands[args.command]  # its errors show its usage
     if args.config:
-        config = _read_config(args.config, args.command, parser)
+        config = _read_config(args.config, args.command, command_parser)
         args = build_parser({args.command: config}).parse_args(argv)
     opts = vars(args)
     try:
         target = _check(args.command, opts)
     except ValueError as exc:
-        parser.error(str(exc))
+        command_parser.error(str(exc))
     try:
         if args.command == "round":
             _round(opts, target)

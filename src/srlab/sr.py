@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fmod, ldexp, ulp
+from math import fmod, ulp
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .rounding import (
     _SPLIT_MAX,
     _SPLIT_MIN,
     SUBSTRATE_WIDTH,
-    _DBL_MIN,
     FpFormat,
     SubstrateRangeError,
     _decode,
@@ -261,19 +260,12 @@ def sr_sample(x: float, cfg: SrConfig, rng: RngStream, size: int) -> np.ndarray:
     # k + z carries out of r bits iff z >= 2**r - k, as z, k < 2**r
     carry = rng.bits_array(r, size) >= (1 << r) - k
     try:
-        lo, hi = ldexp(sig, exp), ldexp(sig + 1, exp)
-    except OverflowError:
-        lo = 0.0  # hi overflows: let the range check below decide
-    if lo < _DBL_MIN:  # a neighbor may be out of range: rebuild the drawn ones
+        lo, hi = _rebuild(x < 0, sig, exp), _rebuild(x < 0, sig + 1, exp)
+    except SubstrateRangeError:  # build only the neighbors that some draw takes
         ups = int(np.count_nonzero(carry))
-        if ups:
-            hi = _rebuild(x < 0, sig + 1, exp)
-        if ups < size:
-            lo = _rebuild(x < 0, sig, exp)
-        return np.full(size, hi if ups else lo)
-    if x < 0:
-        lo, hi = -lo, -hi
-    # exact: hi - lo is one ulp, a power of two, and lo + ulp == hi
+        lo = _rebuild(x < 0, sig, exp) if ups < size else 0.0  # 0.0: none takes it
+        hi = _rebuild(x < 0, sig + 1, exp) if ups else 0.0
+    # exact: hi - lo is one ulp and lo + ulp == hi, or one of them is 0.0
     out = carry * (hi - lo)
     out += lo
     return out

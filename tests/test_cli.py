@@ -155,6 +155,61 @@ def test_bad_experiment_flags_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["sum", "--n-grid", "x"], "--n-grid", "'x'"),
+        (["sum", "--n-max", "0"], "--n-max", "n_max must be >= 1, got 0"),
+        (["rosenbrock", "--start", "1"], "--start", "expected 'x,y', got '1'"),
+        (["sum", "--r", "foo"], "--r", "'foo'"),
+        (["round", "--value", "1.0", "--r", "foo"], "--r", "'foo'"),
+    ],
+    ids=["sum-n-grid", "sum-n-max", "rosenbrock-start", "sum-r", "round-r"],
+)
+def test_bad_option_value_shows_the_converter_message(argv, option, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"srlab {argv[0]}: error: argument {option}: ")
+    assert message in last
+    assert "_parse" not in last and "_doubling" not in last
+
+
+def test_option_error_shows_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "--trials", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: srlab sum ")
+    assert "srlab sum: error: trials must be >= 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--n-grid", "10,100"], ""),
+        (["--n-max", "40"], ""),
+        ([], "n_grid = 10,100\n"),
+        ([], "n-max = 40\n"),
+    ],
+    ids=["n-grid-flag", "n-max-flag", "n-grid-key", "n-max-key"],
+)
+def test_input_file_refuses_a_grid(flags, config, tmp_path, capsys):
+    data = tmp_path / "vec.txt"
+    data.write_text("1.5\n2.25\n3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "--config", str(cfg), "--input-file", str(data), "--trials", "2",
+              "--out-dir", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--input-file fixes n" in err
+    assert not out.exists()
+
+
 def test_rosenbrock_divergence_is_reported_not_raised(tmp_path, capsys):
     # the sr3 trajectories from (0.5, 0.5) blow up within 50 iterations
     code, _, _ = run_cli(

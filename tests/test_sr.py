@@ -1,12 +1,15 @@
+import ast
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from srlab import sr
 from srlab.bounds import unit_roundoff
 from srlab.dyadic import dy_ceil, dy_exponent, dy_floor, dy_from_float, dy_q, dy_to_float
 from srlab.rounding import (
@@ -557,6 +560,14 @@ def sr_configs(draw):
 # k = 0: every draw rounds down to 1.5 * 2**1023; the upper neighbor would overflow
 @example(x=math.ldexp(1.5, 1023) + math.ldexp(1.0, 983), cfg=sr_config(2, 1),
          size=3, lead=0, seed=0)
+# a substrate subnormal whose upper neighbor is 2**-1022: all 3 draws carry and
+# give 2**-1022; of 8 draws some do not, and the lower neighbor is subnormal
+@example(x=math.ldexp(2**52 - 1, -1074), cfg=sr_config(11, 3), size=3, lead=0, seed=0)
+@example(x=math.ldexp(2**52 - 1, -1074), cfg=sr_config(11, 3), size=8, lead=0, seed=0)
+# k = 1: the upper neighbor 2**1024 is reachable; one draw takes the lower
+# 1.5 * 2**1023, and of 3 draws some carry and overflow
+@example(x=math.ldexp(1.75, 1023), cfg=sr_config(2, 1), size=1, lead=0, seed=0)
+@example(x=math.ldexp(1.75, 1023), cfg=sr_config(2, 1), size=3, lead=0, seed=0)
 @settings(max_examples=300, deadline=None)
 def test_sr_sample_is_the_sr_round_loop(x, cfg, size, lead, seed):
     # twin streams, the block part read first: same outcome bits, same
@@ -574,6 +585,19 @@ def test_sr_sample_is_the_sr_round_loop(x, cfg, size, lead, seed):
     assert got.dtype == np.float64
     assert got.view(np.uint64).tolist() == np.array(want, dtype=np.float64).view(np.uint64).tolist()
     assert a.next_bits(64) == b.next_bits(64)
+
+
+def test_sampler_keeps_no_copy_of_the_range_rule():
+    # sr_sample builds its neighbors with rounding._rebuild, the one place
+    # that knows the normal binary64 range
+    tree = ast.parse(Path(sr.__file__).read_text(encoding="utf-8"))
+    imported = {
+        a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    assert not imported & {"ldexp", "_DBL_MIN"}
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "ldexp"
+                   for node in ast.walk(tree))
 
 
 def test_trace_record_envelopes():
