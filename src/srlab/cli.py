@@ -35,11 +35,11 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_point(text: str) -> tuple:
+def _parse_start(text: str) -> tuple:
     parts = [tok for tok in text.split(",") if tok.strip()]
     if len(parts) != 2:
         raise ValueError(f"expected 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return ((float(parts[0]), float(parts[1])),)
 
 
 def _read_config(path: str, command: str, parser) -> dict:
@@ -75,23 +75,16 @@ def _read_config(path: str, command: str, parser) -> dict:
 _SPEC = {f.name: f.default for f in dataclasses.fields(experiments.ExperimentSpec)}
 
 
-def _doubling_grid(n_max) -> tuple:
-    """The n grid 10, 20, 40, ... up to n_max, an integer or its decimal text."""
-    n_max = check_int("n_max", int(n_max) if isinstance(n_max, str) else n_max, 1)
-    grid, n = [], 10
-    while n < n_max:
-        grid.append(n)
-        n *= 2
-    grid.append(n_max)
-    return tuple(grid)
-
-
 # options shared by several commands: key -> (converter, default, help)
 _P = {"p": (int, _SPEC["p"], "target precision (significand bits)")}
 _R_LIST = {"r": (_parse_r_list, _SPEC["r_list"], "random bits, comma list, e.g. 3,7,ideal")}
 _TRIALS = {
     "trials": (int, _SPEC["trials"], "Monte Carlo trials"),
     "seed": (int, _SPEC["seed"], "random seed"),
+}
+_GRID = {
+    "n_grid": (_parse_int_list, _SPEC["n_grid"], "problem sizes, comma list"),
+    "n_max": (experiments._doubling_grid, _SPEC["n_grid"], "grid 10, 20, 40, ... up to n_max"),
 }
 _OUT_DIR = {"out_dir": (str, _SPEC["out_dir"], "directory for the CSV files")}
 
@@ -106,27 +99,20 @@ _SCHEMAS = {
         "seed": (int, 0, "random seed"),
     },
     "sum": {
-        **_P, **_R_LIST,
-        # no grid given (None) runs ExperimentSpec's; --input-file refuses one
-        "n_grid": (_parse_int_list, None, "problem sizes, comma list"),
-        "n_max": (_doubling_grid, None, "grid 10, 20, 40, ... up to n_max"),
-        **_TRIALS, **_OUT_DIR,
+        **_P, **_R_LIST, **_GRID, **_TRIALS, **_OUT_DIR,
         "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
     },
     "rosenbrock": {
         **_P, **_R_LIST,
         "iters": (int, _SPEC["iters"], "gradient-descent iterations"),
         "t": (float, _SPEC["step"], "learning rate"),
-        "start": (_parse_point, None, "start point 'x,y' (default: both default starts)"),
+        "start": (_parse_start, None, "start point 'x,y' (default: both default starts)"),
         **_TRIALS, **_OUT_DIR,
     },
     "bounds-table": {
         **_P, **_R_LIST,
         "lam": (float, _SPEC["lam"], "failure probability"),
-        # the documented --n-max 6000 grid
-        "n_grid": (_parse_int_list, _doubling_grid(6000), "problem sizes, comma list"),
-        "n_max": (_doubling_grid, _doubling_grid(6000), "grid 10, 20, 40, ... up to n_max"),
-        **_OUT_DIR,
+        **_GRID, **_OUT_DIR,
     },
     "suggest-r": {
         "n": (int, None, "problem size"),
@@ -144,7 +130,7 @@ _COMMANDS = {
 }
 
 # option key -> its dest, where two options set one value (the last given wins)
-_DEST = {"n_max": "n_grid"}
+_DEST = {"n_max": "n_grid", "start": "starts"}
 
 # option dest -> ExperimentSpec field, where the names differ
 _SPEC_FIELD = {"r": "r_list", "t": "step"}
@@ -168,13 +154,8 @@ def _check(command: str, opts):
         if opts["n"] is None:
             raise ValueError("--n is required")
         return bounds.rule_of_thumb_r(opts["n"])
-    if opts.get("input_file") is not None and opts["n_grid"] is not None:
-        raise ValueError("--input-file fixes n to the file's length: give no "
-                         "--n-grid, --n-max, n_grid or n_max with it")
     fields = {_SPEC_FIELD.get(k, k): v for k, v in opts.items()}
     fields = {k: v for k, v in fields.items() if k in _SPEC and v is not None}
-    if opts.get("start"):
-        fields["starts"] = (opts["start"],)
     return experiments.ExperimentSpec(kind=command, **fields)
 
 
@@ -222,10 +203,8 @@ def _own_message(conv):
     return convert
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The srlab parser.  ``config`` maps a command to its config-file values,
-    which replace its defaults: a flag beats the file, the file the default.
-    Its ``commands`` maps each command to its own parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The srlab parser.  Its ``commands`` maps each command to its own parser."""
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Limited-precision stochastic rounding laboratory",
@@ -240,9 +219,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                 conv = _own_message(conv)
             sp.add_argument(flag, dest=_DEST.get(key, key), type=conv, default=default,
                             metavar=key.upper(), help=help_opt)
-        # argparse runs a str default through `type` again, so a converter must
-        # map each str it returns (out_dir, input_file, round's r) to itself
-        sp.set_defaults(**(config or {}).get(name, {}))
     parser.commands = sub.choices
     return parser
 
@@ -252,8 +228,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command_parser = parser.commands[args.command]  # its errors show its usage
     if args.config:
-        config = _read_config(args.config, args.command, command_parser)
-        args = build_parser({args.command: config}).parse_args(argv)
+        # argparse runs a str default through `type` again, so a converter must
+        # map each str it returns (out_dir, input_file, round's r) to itself
+        command_parser.set_defaults(**_read_config(args.config, args.command, command_parser))
+        args = parser.parse_args(argv)
     opts = vars(args)
     try:
         target = _check(args.command, opts)

@@ -28,6 +28,21 @@ _INV_2_53 = 2.0 ** -53
 
 DEFAULT_STARTS = ((0.0, 0.0), (0.5, 0.5))
 
+
+def _doubling_grid(n_max) -> tuple:
+    """The n grid 10, 20, 40, ... up to n_max, an integer or its decimal text."""
+    n_max = check_int("n_max", int(n_max) if isinstance(n_max, str) else n_max, 1)
+    grid, n = [], 10
+    while n < n_max:
+        grid.append(n)
+        n *= 2
+    grid.append(n_max)
+    return tuple(grid)
+
+
+_GRIDS = {"sum": (10, 100, 1000, 6000), "bounds-table": _doubling_grid(6000)}
+_GRIDS["dot"] = _GRIDS["rosenbrock"] = _GRIDS["sum"]
+
 # one CSV line, as every runner returns it: (n_or_k, mode, value, stderr)
 Row = tuple[int, str, float, float]
 
@@ -43,7 +58,7 @@ class ExperimentSpec:
     kind: str  # sum | dot | rosenbrock | bounds-table
     p: int = 11
     r_list: tuple = (3, 6, 7, 8, 10)
-    n_grid: tuple = (10, 100, 1000, 6000)
+    n_grid: tuple | None = None  # None: the kind's grid, or the input file's length
     iters: int = 5000
     step: float = 1e-3
     starts: tuple = DEFAULT_STARTS
@@ -54,8 +69,21 @@ class ExperimentSpec:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.kind not in ("sum", "dot", "rosenbrock", "bounds-table"):
+        if self.kind not in _GRIDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.input_file is None:
+            if self.n_grid is None:
+                object.__setattr__(self, "n_grid", _GRIDS[self.kind])
+            sizes = [check_int("n_grid size", n, 1) for n in self.n_grid]
+            if not sizes:
+                raise ValueError("n_grid must not be empty")
+            if sizes != sorted(set(sizes)):
+                raise ValueError("n_grid must be strictly increasing")
+        elif self.kind not in ("sum", "dot"):
+            raise ValueError(f"input_file is for sum and dot, not {self.kind}")
+        elif self.n_grid is not None:
+            raise ValueError("--input-file fixes n to the file's length: give no "
+                             "--n-grid, --n-max, n_grid or n_max with it")
         # SrConfig rejects p outside [2, 53] and r outside [1, 53 - p] or
         # IDEAL.  A bound table may ask about p = 53 with r = IDEAL, which
         # leaves no random bit; a rounding run cannot use it.
@@ -68,14 +96,11 @@ class ExperimentSpec:
         for r in self.r_list:
             SrConfig(fmt, r, mode)
         check_int("trials", self.trials, 1)
-        sizes = [check_int("n_grid size", n, 1) for n in self.n_grid]
-        if not sizes:
-            raise ValueError("n_grid must not be empty")
-        if sizes != sorted(set(sizes)):
-            raise ValueError("n_grid must be strictly increasing")
         check_int("iters", self.iters, 0)
         if not 0.0 < self.step < math.inf:  # nan fails too
             raise ValueError(f"t must be positive and finite, got {self.step!r}")
+        if not self.starts:
+            raise ValueError("starts must not be empty")
         for start in self.starts:
             if len(start) != 2 or not all(map(math.isfinite, start)):
                 raise ValueError(f"start point must be two finite coordinates, got {start}")

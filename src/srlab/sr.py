@@ -132,6 +132,9 @@ class SrConfig:
         p = self.fmt.p
         if self.r == IDEAL:
             r_bits = SUBSTRATE_WIDTH - p
+        elif p == SUBSTRATE_WIDTH:
+            raise ValueError(f"p = {p} leaves no random bit, so r must be '{IDEAL}', "
+                             f"got {self.r!r}")
         else:
             r_bits = check_int("r", self.r, 1, SUBSTRATE_WIDTH - p)
             object.__setattr__(self, "r", r_bits)

@@ -126,6 +126,13 @@ def test_cond_inner_examples():
         cond_inner([1.0], [1.0, 2.0])
 
 
+def test_negative_u_and_empty_vectors_are_refused():
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        gamma(3, -1.0)
+    with pytest.raises(ValueError, match="empty vectors"):
+        cond_inner([], [])
+
+
 def test_bias_bound_sum():
     assert bias_bound_sum(BoundQuery(n=1, p=11, r=7)) == 0.0
     q = BoundQuery(n=2, p=11, r=7, kappa=1.0)

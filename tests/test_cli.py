@@ -1,9 +1,14 @@
+import ast
+import inspect
+import shlex
 import weakref
+from pathlib import Path
 
 import pytest
 
-from srlab import experiments
+from srlab import cli, experiments
 from srlab.cli import _check, build_parser, main
+from srlab.sr import sr_config
 
 
 def run_cli(args, capsys):
@@ -144,6 +149,8 @@ def test_invalid_p_r_combination_exits_2(capsys):
         ["sum", "--n-grid", "10", "--trials", "3", "--seed", "-1"],
         ["rosenbrock", "--iters", "3", "--trials", "2", "--seed", "18446744073709551616"],
         ["round", "--value", "1.3", "--samples", "4", "--seed", "-1"],
+        ["round"],
+        ["suggest-r"],
     ],
     ids=" ".join,
 )
@@ -378,8 +385,10 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
         (b"p = eleven\n", "config key p: "),
         (b"wibble = 3\n", "unknown config key(s): wibble\n"),
         (b"value = 1.5\xff\n", "cannot read config file: 'utf-8' codec"),
+        # a blank line and a whole-line comment are skipped, not misread
+        (b"# r = 3\n\nvalue 1.5\n", "bad.cfg:3: expected 'key = value'"),
     ],
-    ids=["bad-value", "unknown-key", "not-utf-8"],
+    ids=["bad-value", "unknown-key", "not-utf-8", "no-equals-sign"],
 )
 def test_config_file_error_message(data, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -423,7 +432,65 @@ def test_config_list_options_and_dashed_key(flags, name, grid, more, tmp_path, c
 @pytest.mark.parametrize("command", ["sum", "dot", "rosenbrock", "bounds-table"])
 def test_cli_defaults_are_the_spec_defaults(command):
     spec = experiments.ExperimentSpec(kind=command)
-    if command == "bounds-table":  # the documented --n-max 6000 grid
-        grid = (10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120, 6000)
-        spec = experiments.ExperimentSpec(kind=command, n_grid=grid)
     assert _check(command, vars(build_parser().parse_args([command]))) == spec
+
+
+def test_cli_holds_no_grid_default_and_no_input_file_rule():
+    # ExperimentSpec resolves each kind's grid and refuses a grid next to an
+    # input file; the CLI only spells flags, and a config file only replaces
+    # the defaults of the one parser
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not {"_doubling_grid", "experiments._doubling_grid"} & called
+    numbers = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and type(node.value) is int}
+    assert numbers <= {0, 1, 2}, "a grid written out in cli.py"
+    compared = {node.value for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+                for node in ast.walk(cmp) if isinstance(node, ast.Constant)}
+    assert not {"input_file", "n_grid"} & compared
+    assert inspect.signature(build_parser).parameters == {}
+
+
+def test_readme_cli_examples_parse():
+    # a flag renamed without its README example fails here; nothing runs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI examples", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = [line for line in block.splitlines() if line.startswith("srlab ")]
+    assert len(examples) == 5
+    for line in examples:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert _check(args.command, vars(args)) is not None, line
+
+
+def test_p53_says_r_must_be_ideal(capsys):
+    message = "p = 53 leaves no random bit, so r must be 'ideal'"
+    for argv in (["dot", "--p", "53", "--r", "3"], ["bounds-table", "--p", "53", "--r", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err.splitlines()[-1]
+    for r in (1, True, 1.0):
+        with pytest.raises(ValueError, match=message):
+            sr_config(53, r)
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("sum", "1 2\n", "expected 1 column(s)"),
+        ("dot", "1\n", "expected 2 column(s)"),
+        ("sum", "# no values\n\n", "no data"),
+    ],
+    ids=["sum-two-columns", "dot-one-column", "no-data"],
+)
+def test_bad_input_file_exits_1(kind, text, message, tmp_path, capsys):
+    data = tmp_path / "vec.txt"
+    data.write_text(text)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        [kind, "--r", "3", "--trials", "2", "--input-file", str(data), "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()

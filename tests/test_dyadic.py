@@ -46,6 +46,13 @@ def test_round_trip_identity(x):
     assert dy_to_float(dy_from_float(x)) == x
 
 
+def test_zero_exponent_and_non_finite_float_are_refused():
+    with pytest.raises(ValueError, match="zero has no normalized exponent"):
+        dy_exponent(Fraction(0))
+    with pytest.raises(ValueError, match="finite value required"):
+        dy_from_float(math.inf)
+
+
 def test_to_float_rejects_unrepresentable():
     with pytest.raises(ValueError):
         dy_to_float(Fraction((1 << 54) + 1))  # 55 significant bits

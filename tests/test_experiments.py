@@ -10,6 +10,7 @@ from srlab.bounds import unit_roundoff
 from srlab.experiments import (
     _INV_2_53,
     ExperimentSpec,
+    _doubling_grid,
     aggregate_trials,
     _draw_uniform_p,
     csv_name,
@@ -43,6 +44,25 @@ def test_spec_validation():
     for seed in (-1, 1 << 64, 1.9, True):
         with pytest.raises(ValueError, match="seed"):
             ExperimentSpec(kind="sum", seed=seed)
+    # input a run would silently ignore: no start point, or a file of vectors
+    # that only sum and dot read
+    with pytest.raises(ValueError, match="starts must not be empty"):
+        ExperimentSpec(kind="rosenbrock", starts=())
+    for kind in ("rosenbrock", "bounds-table"):
+        with pytest.raises(ValueError, match="input_file is for sum and dot"):
+            ExperimentSpec(kind=kind, input_file="vec.txt")
+    # an input file fixes n to its length
+    for kind in ("sum", "dot"):
+        with pytest.raises(ValueError, match="--input-file fixes n to the file's length"):
+            ExperimentSpec(kind=kind, n_grid=(10, 100), input_file="vec.txt")
+
+
+def test_spec_resolves_each_kind_grid():
+    assert ExperimentSpec(kind="bounds-table").n_grid == _doubling_grid(6000)
+    for kind in ("sum", "dot", "rosenbrock"):
+        assert ExperimentSpec(kind=kind).n_grid == (10, 100, 1000, 6000)
+    # an input file fixes n to its length, so its spec keeps no grid
+    assert ExperimentSpec(kind="sum", input_file="vec.txt").n_grid is None
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])

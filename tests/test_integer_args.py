@@ -10,11 +10,13 @@ from srlab.bounds import (
     BoundQuery, ah_bound_sum, b_envelope, det_bound_sum, gamma, rule_of_thumb_r,
     tail_roundoff, unit_roundoff,
 )
-from srlab.cli import _check, _doubling_grid
+from srlab.cli import _check
 from srlab.dyadic import (
     dy_ceil, dy_floor, dy_from_float, dy_q, dy_round_nearest, dy_trunc, dy_ulp,
 )
-from srlab.experiments import ExperimentSpec, run_rosenbrock, run_sum_experiment
+from srlab.experiments import (
+    ExperimentSpec, _doubling_grid, run_rosenbrock, run_sum_experiment,
+)
 from srlab.kernels import gd_rosenbrock
 from srlab.rounding import FpFormat, truncate
 from srlab.sr import RngStream, SrConfig, sr_config, sr_sample

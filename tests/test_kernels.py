@@ -90,6 +90,11 @@ def test_sum_validates_inputs():
         recursive_sum([1.0, 1.0 + 2.0 ** -30], sr_config(11, 3), RngStream(0, 0))
 
 
+def test_dot_refuses_empty_vectors():
+    with pytest.raises(ValueError, match="empty input"):
+        inner_product([], [], sr_config(11, 3), RngStream(0, 0))
+
+
 def test_sum_range_error_reports_index():
     vec = [1.5 * 2.0 ** 1023, 2.0 ** 1021]  # p=2 values; RN of the sum overflows
     with pytest.raises(SubstrateRangeError, match="index 1"):
