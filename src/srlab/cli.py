@@ -181,15 +181,15 @@ def _experiment(spec: experiments.ExperimentSpec) -> None:
     for start in spec.starts if spec.kind == "rosenbrock" else (None,):
         t0 = time.perf_counter()
         if spec.kind in ("sum", "dot"):
-            rows = experiments.run_sum_experiment(spec)
+            table = experiments.run_sum_experiment(spec)
         elif spec.kind == "rosenbrock":
-            rows = experiments.run_rosenbrock(spec, start)
+            table = experiments.run_rosenbrock(spec, start)
         else:
-            rows = experiments.run_bounds_table(spec)
+            table = experiments.run_bounds_table(spec)
         elapsed = time.perf_counter() - t0
         path = Path(spec.out_dir) / experiments.csv_name(spec, start)
-        experiments.write_rows(path, rows)
-        del rows  # one start's rows need not live through the next start's run
+        experiments.write_rows(path, table)
+        del table  # one start's table need not live through the next start's run
         print(f"wrote {path} ({elapsed:.2f}s)")
 
 
@@ -205,13 +205,14 @@ def _own_message(conv):
 
 def build_parser() -> argparse.ArgumentParser:
     """The srlab parser.  Its ``commands`` maps each command to its own parser."""
+    # no abbreviations: a config file refuses the key tri, so --tri is refused too
     parser = argparse.ArgumentParser(
         prog="srlab",
-        description="Limited-precision stochastic rounding laboratory",
+        description="Limited-precision stochastic rounding laboratory", allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--config", help="key = value config file; flags win")
         for key, (conv, default, help_opt) in _SCHEMAS[name].items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")

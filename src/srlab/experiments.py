@@ -4,6 +4,9 @@ Trials are paired: each (n, trial) input vector is drawn once and shared by
 every rounding mode, so mode comparisons see identical data.  Each trial
 owns its own random stream (stream_id = trial index) and results are
 aggregated in trial order, so the CSV bytes depend only on the spec.
+
+Every runner returns a table, four equal-length numpy columns (n_or_k int64,
+mode str, value float64, stderr float64), which ``write_rows`` writes as CSV.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +45,6 @@ def _doubling_grid(n_max) -> tuple:
 _GRIDS = {"sum": (10, 100, 1000, 6000), "bounds-table": _doubling_grid(6000)}
 _GRIDS["dot"] = _GRIDS["rosenbrock"] = _GRIDS["sum"]
 
-# one CSV line, as every runner returns it: (n_or_k, mode, value, stderr)
-Row = tuple[int, str, float, float]
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -69,15 +68,18 @@ class ExperimentSpec:
     out_dir: str = "."
 
     def __post_init__(self):
+        # tuples, so that a spec read back from JSON lists equals the original
+        object.__setattr__(self, "r_list", tuple(self.r_list))
+        object.__setattr__(self, "starts", tuple(map(tuple, self.starts)))
         if self.kind not in _GRIDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.input_file is None:
-            if self.n_grid is None:
-                object.__setattr__(self, "n_grid", _GRIDS[self.kind])
-            sizes = [check_int("n_grid size", n, 1) for n in self.n_grid]
+            sizes = tuple(check_int("n_grid size", n, 1)
+                          for n in (_GRIDS[self.kind] if self.n_grid is None else self.n_grid))
+            object.__setattr__(self, "n_grid", sizes)
             if not sizes:
                 raise ValueError("n_grid must not be empty")
-            if sizes != sorted(set(sizes)):
+            if list(sizes) != sorted(set(sizes)):
                 raise ValueError("n_grid must be strictly increasing")
         elif self.kind not in ("sum", "dot"):
             raise ValueError(f"input_file is for sum and dot, not {self.kind}")
@@ -171,61 +173,61 @@ def run_trials(spec: ExperimentSpec) -> dict[tuple[int, str], list[float]]:
     return errors
 
 
-def _summarize(values: np.ndarray) -> tuple[list[float], list[float]]:
+def _summarize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each row of ``values`` over its last axis,
     the trials.
 
-    One trial has zero spread, none where its value is NaN (the shared 0.0
-    and nan constants add no float object per row).  With more, each row is
-    first scaled in place by a power of two to a largest finite magnitude
-    below 1, so that neither the mean's sum nor the std's squares overflow;
-    scaling by a power of two is exact, so other results keep their bits.
+    One trial has zero spread, none where its value is NaN.  With more, each
+    row is first scaled in place by a power of two to a largest finite
+    magnitude below 1, so that neither the mean's sum nor the std's squares
+    overflow; scaling by a power of two is exact, so other results keep their bits.
     """
     trials = values.shape[-1]
     if trials == 1:
-        means = values[..., 0].tolist()
-        return means, [math.nan if v != v else 0.0 for v in means]
+        return values[..., 0], np.where(np.isnan(values[..., 0]), math.nan, 0.0)
     mags = np.abs(values)
     mags[~np.isfinite(mags)] = 0.0
     shift = np.frexp(mags.max(axis=-1))[1]
     np.ldexp(values, -shift[..., None], out=values)
-    means = np.ldexp(values.mean(axis=-1), shift).tolist()
-    stderrs = np.ldexp(values.std(axis=-1, ddof=1) / math.sqrt(trials), shift).tolist()
+    means = np.ldexp(values.mean(axis=-1), shift)
+    stderrs = np.ldexp(values.std(axis=-1, ddof=1) / math.sqrt(trials), shift)
     return means, stderrs
 
 
-def aggregate_trials(errors: dict[tuple[int, str], list[float]]) -> list[Row]:
-    """Mean and standard error per ``(n, mode)`` key of ``run_trials``, in key order."""
-    means, stderrs = _summarize(np.array(list(errors.values())))
-    return [(n, mode, m, se) for (n, mode), m, se in zip(errors, means, stderrs)]
+def aggregate_trials(errors: dict[tuple[int, str], list[float]]) -> tuple:
+    """Table of the mean and standard error per key of ``run_trials``, in key order."""
+    n, mode = zip(*errors)
+    return (np.array(n, np.int64), np.array(mode),
+            *_summarize(np.array(list(errors.values()))))
 
 
-def run_sum_experiment(spec: ExperimentSpec) -> list[Row]:
+def run_sum_experiment(spec: ExperimentSpec) -> tuple:
     """Mean relative error per (n, mode) of the recursive sum (kind ``sum``)
     or of the inner product (kind ``dot``)."""
     return aggregate_trials(run_trials(spec))
 
 
-def run_bounds_table(spec: ExperimentSpec) -> list[Row]:
-    """Deterministic and probabilistic bound values on the n grid (kappa = 1)."""
+def run_bounds_table(spec: ExperimentSpec) -> tuple:
+    """Table of the deterministic and probabilistic bounds on the n grid (kappa = 1)."""
     rows = []
     for n in spec.n_grid:
-        rows.append((n, "det", bounds.det_bound_sum(n, spec.p), 0.0))
+        rows.append((n, "det", bounds.det_bound_sum(n, spec.p)))
         for r in spec.r_list:
             q = bounds.BoundQuery(n=n, p=spec.p, r=r, lam=spec.lam)
-            rows.append((n, f"ah_sr{r}", bounds.ah_bound_sum(q), 0.0))
-            rows.append((n, f"bc_sr{r}", bounds.bc_bound_sum(q), 0.0))
-    return rows
+            rows.append((n, f"ah_sr{r}", bounds.ah_bound_sum(q)))
+            rows.append((n, f"bc_sr{r}", bounds.bc_bound_sum(q)))
+    n, mode, value = zip(*rows)
+    return np.array(n, np.int64), np.array(mode), np.array(value), np.zeros(len(value))
 
 
-def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Row]:
+def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> tuple:
     """Loss-per-iteration table: binary64 and precision-p RN baselines once,
     stochastic modes averaged over spec.trials runs.
 
     Iterations past a diverged trajectory are reported as NaN, with a NaN
     stderr.
     """
-    rows: list[Row] = []
+    tables = []
     npoints = spec.iters + 1
     modes = [(rn_config(53), 1), (rn_config(spec.p), 1)]
     modes += [(sr_config(spec.p, r), spec.trials) for r in spec.r_list]
@@ -238,9 +240,9 @@ def run_rosenbrock(spec: ExperimentSpec, start: tuple[float, float]) -> list[Row
             # a trajectory or its losses kept alive while the next one runs
             # raises the peak memory and slows the descent
             del series
-        means, stderrs = _summarize(losses.T)
-        rows.extend(zip(range(npoints), repeat(cfg.label), means, stderrs))
-    return rows
+        tables.append((np.arange(npoints, dtype=np.int64), np.full(npoints, cfg.label),
+                       *_summarize(losses.T)))
+    return tuple(map(np.concatenate, zip(*tables)))
 
 
 def estimate_coverage(errors, bound: float) -> float:
@@ -251,31 +253,32 @@ def estimate_coverage(errors, bound: float) -> float:
     return float(np.mean(arr <= bound))
 
 
-def _r_tag(r_list) -> str:
-    return "-".join(map(str, r_list))
-
-
 def csv_name(spec: ExperimentSpec, start: tuple[float, float] | None = None) -> str:
-    name = f"{spec.kind}_p{spec.p}_r{_r_tag(spec.r_list)}"
+    name = f"{spec.kind}_p{spec.p}_r{'-'.join(map(str, spec.r_list))}"
     if start is not None:
         name += f"_start{start[0]:g}-{start[1]:g}"
     return name + ".csv"
 
 
-def write_rows(path: str | Path, rows: list[Row]) -> Path:
-    """Write summary rows as CSV (17 significant digits), atomically."""
+def write_rows(path: str | Path, table) -> Path:
+    """Write a runner's table as CSV (17 significant digits), atomically."""
+    from .fmt17 import csv_lines  # loaded by the first write, not by `import srlab`
+
+    if len({len(column) for column in table}) != 1:
+        raise ValueError("the table's four columns must have one length")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # open() creates the file with the mode the umask allows; mkstemp's is 0600.
     # A live process owns its pid, so a file of this name is a killed run's.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.unlink(missing_ok=True)
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write("n_or_k,mode,value,stderr\n")
-            # %.17g renders every float as format(v, ".17g") does
-            fh.writelines(map("%d,%s,%.17g,%.17g\n".__mod__, rows))
+            fh.write(b"n_or_k,mode,value,stderr\n")
+            # bounded chunks keep the formatter's byte matrices small
+            for i in range(0, len(table[2]), 4096):
+                fh.write(csv_lines(*(column[i:i + 4096] for column in table)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -157,7 +157,7 @@ def sum_experiment():
         seed=31415,
     )
     trials = run_trials(spec)
-    by = {(n, mode): (value, stderr) for n, mode, value, stderr in aggregate_trials(trials)}
+    by = {(n, mode): (value, stderr) for n, mode, value, stderr in zip(*aggregate_trials(trials))}
     return spec, trials, by
 
 

@@ -117,6 +117,19 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "--tri", "2", "--r", "3", "--n-grid", "10"],
+    ["bounds-table", "--lam", "0.5"],
+], ids=["tri", "lam"])
+def test_abbreviated_flag_exits_2(argv, capsys):
+    # an option has one spelling: a config file refuses the key tri, so the
+    # command line refuses the flag --tri
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in capsys.readouterr().err
+
+
 def test_invalid_p_r_combination_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["round", "--value", "1.0", "--p", "50", "--r", "10"])

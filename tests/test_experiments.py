@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import stat
@@ -65,6 +67,19 @@ def test_spec_resolves_each_kind_grid():
     assert ExperimentSpec(kind="sum", input_file="vec.txt").n_grid is None
 
 
+@pytest.mark.parametrize("spec", [
+    ExperimentSpec(kind="sum", r_list=[3, IDEAL], n_grid=[10, 20], trials=2),
+    ExperimentSpec(kind="rosenbrock", r_list=(8,), starts=[[0.0, 0.0], (0.5, 0.5)]),
+    ExperimentSpec(kind="bounds-table"),
+], ids=["sum", "rosenbrock-two-starts", "bounds-table"])
+def test_spec_survives_a_json_round_trip(spec):
+    # lists given for r_list, n_grid and starts are stored as tuples
+    assert type(spec.r_list) is type(spec.n_grid) is type(spec.starts) is tuple
+    assert all(type(start) is tuple for start in spec.starts)
+    assert ExperimentSpec(**json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+    hash(spec)
+
+
 @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
 def test_step_size_must_be_positive_and_finite(t):
     # every trajectory of such a step would silently diverge
@@ -74,8 +89,18 @@ def test_step_size_must_be_positive_and_finite(t):
         gd_rosenbrock((0.0, 0.0), t, 5, sr_config(11, 3), RngStream(0, 0))
 
 
+def _rows(table):
+    """A runner's table, one (n_or_k, mode, value, stderr) tuple per line."""
+    return list(zip(*table))
+
+
+def _columns(rows):
+    """The table whose lines are ``rows``."""
+    return tuple(zip(*rows))
+
+
 def test_sum_experiment_structure():
-    rows = run_sum_experiment(TINY_SUM)
+    rows = _rows(run_sum_experiment(TINY_SUM))
     modes = {"rn", "sr3", "sr7"}
     assert len(rows) == len(TINY_SUM.n_grid) * len(modes)
     assert {mode for _, mode, _, _ in rows} == modes
@@ -83,14 +108,14 @@ def test_sum_experiment_structure():
 
 
 def test_sum_experiment_deterministic():
-    a = run_sum_experiment(TINY_SUM)
-    b = run_sum_experiment(TINY_SUM)
+    a = _rows(run_sum_experiment(TINY_SUM))
+    b = _rows(run_sum_experiment(TINY_SUM))
     assert a == b
 
 
 def test_single_trial_rn_column_deterministic():
     spec = replace(TINY_SUM, trials=1, r_list=(3,))
-    rows = run_sum_experiment(spec)
+    rows = _rows(run_sum_experiment(spec))
     assert all(se == 0.0 for _, _, _, se in rows)
 
 
@@ -102,7 +127,7 @@ def test_trial_results_paired_across_modes():
 
 def test_dot_experiment_structure():
     spec = ExperimentSpec(kind="dot", p=11, r_list=(7,), n_grid=(5, 20), trials=4, seed=3)
-    rows = run_sum_experiment(spec)
+    rows = _rows(run_sum_experiment(spec))
     assert len(rows) == 2 * 2  # two n values, modes rn and sr7
 
 
@@ -127,7 +152,7 @@ def test_bounds_table_rows():
     spec = ExperimentSpec(
         kind="bounds-table", p=11, r_list=(3, 7, IDEAL), n_grid=(2, 100, 1000), lam=0.1
     )
-    rows = run_bounds_table(spec)
+    rows = _rows(run_bounds_table(spec))
     by = {(n, mode): v for n, mode, v, _ in rows}
     assert len(rows) == 3 * (1 + 2 * 3)
     # n = 2 row: deterministic bound is u_p, bias tail enters the bc column
@@ -145,7 +170,7 @@ def test_rosenbrock_rows_and_baseline():
     spec = ExperimentSpec(
         kind="rosenbrock", p=11, r_list=(8,), iters=20, trials=3, seed=1
     )
-    rows = run_rosenbrock(spec, start=(1.0, 1.0))
+    rows = _rows(run_rosenbrock(spec, start=(1.0, 1.0)))
     modes = {"fp64", "rn", "sr8"}
     assert {mode for _, mode, _, _ in rows} == modes
     assert len(rows) == 21 * len(modes)
@@ -157,7 +182,7 @@ def test_rosenbrock_progress_from_origin():
     spec = ExperimentSpec(
         kind="rosenbrock", p=11, r_list=(8,), iters=300, trials=4, seed=1
     )
-    rows = run_rosenbrock(spec, start=(0.0, 0.0))
+    rows = _rows(run_rosenbrock(spec, start=(0.0, 0.0)))
     final = {mode: v for k, mode, v, _ in rows if k == 300}
     first = {mode: v for k, mode, v, _ in rows if k == 0}
     assert final["fp64"] < first["fp64"]
@@ -166,12 +191,20 @@ def test_rosenbrock_progress_from_origin():
 
 def test_csv_format(tmp_path):
     rows = [(10, "rn", 1.0 / 3.0, 0.25), (20, "sr3", 2.0, 0.0)]
-    path = write_rows(tmp_path / "out.csv", rows)
+    path = write_rows(tmp_path / "out.csv", _columns(rows))
     text = path.read_text().splitlines()
     assert text[0] == "n_or_k,mode,value,stderr"
     assert text[1] == "10,rn,0.33333333333333331,0.25"
     assert text[2] == "20,sr3,2,0"
     assert float(text[1].split(",")[2]) == 1.0 / 3.0  # 17 digits round-trip
+
+
+def test_csv_of_an_empty_or_ragged_table(tmp_path):
+    path = write_rows(tmp_path / "empty.csv", ([], [], [], []))
+    assert path.read_text() == "n_or_k,mode,value,stderr\n"
+    with pytest.raises(ValueError, match="one length"):
+        write_rows(tmp_path / "ragged.csv", ([1, 2], ["rn"], [0.5, 0.5], [0.0, 0.0]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
 
 
 def test_csv_mode_follows_umask(tmp_path):
@@ -181,7 +214,7 @@ def test_csv_mode_follows_umask(tmp_path):
     try:
         for umask in (0o022, 0o002):
             os.umask(umask)
-            path = write_rows(tmp_path / f"umask{umask:03o}.csv", [(1, "rn", 0.5, 0.0)])
+            path = write_rows(tmp_path / f"umask{umask:03o}.csv", _columns([(1, "rn", 0.5, 0.0)]))
             modes.append(stat.S_IMODE(path.stat().st_mode))
     finally:
         os.umask(old)
@@ -190,10 +223,10 @@ def test_csv_mode_follows_umask(tmp_path):
 
 
 def test_failed_csv_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
-    path = write_rows(tmp_path / "out.csv", [(1, "rn", 0.5, 0.0)])
+    path = write_rows(tmp_path / "out.csv", _columns([(1, "rn", 0.5, 0.0)]))
     before = path.read_bytes()
-    with pytest.raises(TypeError):
-        write_rows(path, [(2, "rn", 0.5, 0.0), ("x", "rn", 0.5, 0.0)])
+    with pytest.raises(ValueError):
+        write_rows(path, _columns([(2, "rn", 0.5, 0.0), ("x", "rn", 0.5, 0.0)]))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -206,7 +239,7 @@ def test_stale_temporary_of_a_killed_run_is_replaced(tmp_path):
     stale.chmod(0o600)
     old = os.umask(0o022)
     try:
-        write_rows(path, [(1, "rn", 0.5, 0.0)])
+        write_rows(path, _columns([(1, "rn", 0.5, 0.0)]))
     finally:
         os.umask(old)
     assert path.read_text() == "n_or_k,mode,value,stderr\n1,rn,0.5,0\n"
@@ -221,7 +254,7 @@ _EDGE_VALUES = [
 
 def test_csv_lines_match_format_rendering(tmp_path):
     rows = [(k, "sr3", v, 0.0) for k, v in enumerate(_EDGE_VALUES)]
-    path = write_rows(tmp_path / "edge.csv", rows)
+    path = write_rows(tmp_path / "edge.csv", _columns(rows))
     want = "n_or_k,mode,value,stderr\n" + "".join(
         f"{k},sr3,{v:.17g},{0.0:.17g}\n" for k, v in enumerate(_EDGE_VALUES)
     )
@@ -280,11 +313,14 @@ _RUNNERS = {
 
 @pytest.mark.parametrize("runner", list(_RUNNERS))
 def test_runners_return_plain_tuple_rows(runner):
-    rows = _RUNNERS[runner]()
-    assert rows
-    for row in rows:
-        assert type(row) is tuple
-        assert [type(v) for v in row] == [int, str, float, float]
+    # a plain tuple of four equal-length numpy columns, no Python object per row
+    table = _RUNNERS[runner]()
+    assert type(table) is tuple
+    assert [type(c) for c in table] == [np.ndarray] * 4
+    assert [c.dtype.kind for c in table] == ["i", "U", "f", "f"]
+    assert [c.dtype.itemsize for c in (table[0], table[2], table[3])] == [8, 8, 8]
+    assert len(table[0]) > 0
+    assert {len(c) for c in table} == {len(table[0])}
 
 
 def test_input_file_fixes_vector(tmp_path):
@@ -295,7 +331,7 @@ def test_input_file_fixes_vector(tmp_path):
     )
     errors = run_trials(spec)
     assert {n for n, _ in errors} == {3}
-    rows = aggregate_trials(errors)
+    rows = _rows(aggregate_trials(errors))
     assert all(v == 0.0 for _, _, v, _ in rows)  # sums of these are exact at p=11
 
 
@@ -350,7 +386,7 @@ def test_rosenbrock_aggregation_of_huge_losses_is_finite():
     spec = ExperimentSpec(
         kind="rosenbrock", p=11, r_list=(3,), iters=50, step=0.01, trials=2, seed=1
     )
-    big = [(k, value, stderr) for k, mode, value, stderr in run_rosenbrock(spec, (0.5, 0.5))
+    big = [(k, value, stderr) for k, mode, value, stderr in _rows(run_rosenbrock(spec, (0.5, 0.5)))
            if mode == "sr3" and math.isfinite(value) and value > 1e200]
     assert big
     for k, value, stderr in big:
@@ -366,7 +402,7 @@ def test_rosenbrock_aggregation_of_huge_losses_is_finite():
 
 def test_rosenbrock_start_overflow_rows_are_nan():
     spec = ExperimentSpec(kind="rosenbrock", p=11, r_list=(3,), iters=3, trials=2)
-    rows = run_rosenbrock(spec, (1e200, 0.0))
+    rows = _rows(run_rosenbrock(spec, (1e200, 0.0)))
     assert len(rows) == 4 * 3
     assert all(math.isnan(v) for _, _, v, _ in rows)
 
@@ -381,7 +417,7 @@ def test_sum_aggregation_of_huge_errors_is_finite(tmp_path):
         kind="sum", p=11, r_list=(3, 7), trials=8, seed=1, input_file=str(data)
     )
     errors = run_trials(spec)
-    _, _, value, stderr = next(row for row in aggregate_trials(errors) if row[1] == "sr3")
+    _, _, value, stderr = next(row for row in _rows(aggregate_trials(errors)) if row[1] == "sr3")
     assert (value, stderr) == (3.2699847631416849e297, 6.5399695262833699e296)
     # the same statistics of the errors scaled by hand
     scaled = np.ldexp(np.array(errors[5, "sr3"]), -1000)

@@ -28,7 +28,7 @@ _V = dy_from_float(1.3)
 
 
 def _sum(**fields):
-    return run_sum_experiment(ExperimentSpec(**dict(_SUM, **fields)))
+    return list(zip(*run_sum_experiment(ExperimentSpec(**dict(_SUM, **fields)))))
 
 
 # entry point -> (call with the integer argument v, a valid value of v)
@@ -57,9 +57,9 @@ ENTRIES = {
     "ExperimentSpec seed": (lambda v: _sum(seed=v), 3),
     "ExperimentSpec n_grid": (lambda v: _sum(n_grid=(4, v)), 10),
     "ExperimentSpec iters": (
-        lambda v: run_rosenbrock(
+        lambda v: list(zip(*run_rosenbrock(
             ExperimentSpec("rosenbrock", r_list=(3,), iters=v, trials=2), (0.5, 0.5)
-        ),
+        ))),
         5,
     ),
     "gd_rosenbrock iters": (
