@@ -10,11 +10,12 @@ precision p: gradients are evaluated in binary64, rounded to nearest at
 precision p, and the parameter update x - t*g is rounded once per
 coordinate with the configured mode.  A p = 53 round-to-nearest
 configuration degenerates to the plain binary64 baseline.  The descent
-loop evaluates each iterate's loss and the next gradient from one shared
-``d = x2 - x1*x1``, with the operations of ``rosenbrock_f`` and
-``rosenbrock_grad`` in their order, and rounds each gradient coordinate
-with ``round_nearest``.  The iterates are kept as two float lists, with
-no per-point tuple for the garbage collector to track.
+loop evaluates each iterate's loss and gradient once, from one shared
+``d = x2 - x1*x1`` in the operation order of ``rosenbrock_f`` and
+``rosenbrock_grad``: a step that leaves the iterate in place rounds the
+kept update ``x - t*g`` again.  Gradients go through ``round_nearest``,
+and the iterates are two float lists, with no per-point tuple for the
+garbage collector to track.
 """
 
 from __future__ import annotations
@@ -158,7 +159,11 @@ def gd_rosenbrock(
     The step product t*g stays in binary64.  When the gradient, an iterate
     or the loss overflows, the trajectory is cut short and flagged as
     diverged; a start whose loss overflows, to an OverflowError or to inf,
-    leaves no iterate and no loss.
+    leaves no iterate and no loss.  d, the loss, g and y = x - t*g depend
+    only on the iterate's value, so a step to an equal (==) iterate keeps
+    them and rounds y again.  Signed zeros agree: x1 = +-0 gives g1 = -2
+    and y1 = 2t; x2 = +-0 gives y2 = -t*g2, or +0 when that is a zero.
+    The new floats are stored, so every list matches the full loop.
     """
     iters = check_int("iters", iters, 0)
     if not 0.0 < t < math.inf:  # nan fails too
@@ -175,19 +180,24 @@ def gd_rosenbrock(
         # point as at any later iterate
         d = x2 - x1 * x1
         loss = (1.0 - x1) ** 2 + 100.0 * d * d
+        y1 = None  # the kept update x - t*g, dropped when the iterate moves
         for _ in range(iters):
             if not math.isfinite(loss):
                 break
             xs1.append(x1)
             xs2.append(x2)
             losses.append(loss)
-            # a non-finite gradient raises ValueError: a divergence
-            g1 = round_nearest(-2.0 * (1.0 - x1) - 400.0 * x1 * d, fmt)
-            g2 = round_nearest(200.0 * d, fmt)
-            x1 = step(x1 - t * g1, cfg, rng)
-            x2 = step(x2 - t * g2, cfg, rng)
-            d = x2 - x1 * x1
-            loss = (1.0 - x1) ** 2 + 100.0 * d * d
+            if y1 is None:
+                # a non-finite gradient raises ValueError: a divergence
+                y1 = x1 - t * round_nearest(-2.0 * (1.0 - x1) - 400.0 * x1 * d, fmt)
+                y2 = x2 - t * round_nearest(200.0 * d, fmt)
+            n1 = step(y1, cfg, rng)
+            n2 = step(y2, cfg, rng)
+            if n1 != x1 or n2 != x2:
+                d = n2 - n1 * n1
+                loss = (1.0 - n1) ** 2 + 100.0 * d * d
+                y1 = None
+            x1, x2 = n1, n2
         if math.isfinite(loss):
             xs1.append(x1)
             xs2.append(x2)

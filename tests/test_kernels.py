@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srlab import kernels
 from srlab.dyadic import dy_from_float, exact_sum
@@ -18,7 +20,7 @@ from srlab.kernels import (
     rosenbrock_grad,
 )
 from srlab.rounding import SubstrateRangeError, is_representable, round_nearest
-from srlab.sr import _BLOCK, RngStream, rn_config, sr_config
+from srlab.sr import _BLOCK, IDEAL, RngStream, rn_config, sr_config
 
 from conftest import random_substrate_values, recorded_sr_roundings
 from test_sr import FixedStream
@@ -378,6 +380,10 @@ _GD_STARTS = [
     (1e77, 1e154),
     (1e120, 0.0),  # the start loss is inf
     (1e200, 0.0),  # the start loss raises OverflowError
+    # signed zeros: both zeros of x1 give g1 = -2, and x2 = -0 steps to +0
+    (-0.0, -0.0),
+    (-0.0, 0.0),
+    (0.0, -0.0),
 ]
 
 
@@ -385,13 +391,44 @@ _GD_STARTS = [
 @pytest.mark.parametrize("start", _GD_STARTS, ids=repr)
 @pytest.mark.parametrize(
     "cfg",
-    [rn_config(53), rn_config(11), sr_config(11, 3), sr_config(11)],
-    ids=lambda cfg: cfg.label,
+    [rn_config(53), rn_config(11), sr_config(11, 3), sr_config(11),
+     # at p = 4 the updates stall almost at once
+     rn_config(4), sr_config(4, 1)],
+    ids=lambda cfg: cfg.label if cfg.p != 4 else f"{cfg.label}_p4",
 )
 def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
+    _assert_same_descent(cfg, start, t, 300)
+
+
+# a subnormal start coordinate is refused before the descent begins
+_coordinates = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@given(
+    p=st.integers(2, 53),
+    r=st.integers(1, 51) | st.just(IDEAL),
+    stochastic=st.booleans(),
+    t=st.floats(1e-4, 0.1),
+    start=st.tuples(_coordinates, _coordinates),
+    iters=st.integers(0, 200),
+)
+# x1*x1 and t*g1 are below x1's last bit, so x1 stays while x2 flips from
+# -0 to +0: an iterate equal to the last one, whose new floats are stored
+@example(p=11, r=IDEAL, stochastic=False, t=1e-200, start=(1e-163, -0.0), iters=3)
+@example(p=11, r=3, stochastic=True, t=1e-200, start=(1e-163, -0.0), iters=3)
+@settings(max_examples=100, deadline=None)
+def test_gd_rosenbrock_matches_reference_on_drawn_descents(p, r, stochastic, t, start, iters):
+    if stochastic and p < 53:  # p = 53 leaves SR no random bit
+        cfg = sr_config(p, r if r == IDEAL else 1 + (r - 1) % (53 - p))
+    else:
+        cfg = rn_config(p)
+    _assert_same_descent(cfg, start, t, iters)
+
+
+def _assert_same_descent(cfg, start, t, iters):
     got_rng, want_rng = RngStream(3, 1), RngStream(3, 1)
-    got = gd_rosenbrock(start, t, 300, cfg, got_rng)
-    want = _gd_reference(start, t, 300, cfg, want_rng)
+    got = gd_rosenbrock(start, t, iters, cfg, got_rng)
+    want = _gd_reference(start, t, iters, cfg, want_rng)
     assert [v.hex() for v in got.x1] == [v.hex() for v in want.x1]
     assert [v.hex() for v in got.x2] == [v.hex() for v in want.x2]
     # the iterates are two coordinate lists, one point per loss
@@ -401,6 +438,31 @@ def test_gd_rosenbrock_matches_reference_loop(cfg, start, t):
     assert got.diverged == want.diverged
     assert got.mode == want.mode
     assert got_rng.next_bits(64) == want_rng.next_bits(64)
+
+
+def test_gd_rounds_one_gradient_per_iterate(monkeypatch):
+    # two roundings place the start, then each gradient rounds two
+    # coordinates: the first iterate's, and one more for each iterate that
+    # differs (by value) from the one before it; a step that leaves the
+    # iterate in place rounds the kept update again
+    calls = []
+
+    def counted(x, fmt):
+        calls.append(x)
+        return round_nearest(x, fmt)
+
+    monkeypatch.setattr(kernels, "round_nearest", counted)
+    for start, cfg, want in [
+        ((0.5, 0.5), sr_config(11, 3), 2384),
+        ((0.0, 0.0), sr_config(11, 8), 3366),
+        ((-0.0, -0.0), sr_config(4, 1), 48),
+    ]:
+        calls.clear()
+        traj = gd_rosenbrock(start, 1e-3, 2000, cfg, RngStream(1, 0))
+        points = list(zip(traj.x1, traj.x2))
+        moves = sum(points[k] != points[k - 1] for k in range(1, len(points) - 1))
+        assert not traj.diverged
+        assert len(calls) == 2 + 2 * (1 + moves) == want
 
 
 def test_descent_keeps_no_copy_of_the_veltkamp_split():
