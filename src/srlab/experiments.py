@@ -21,7 +21,9 @@ import numpy as np
 from . import bounds
 from .dyadic import exact_dot, exact_sum
 from .kernels import gd_rosenbrock, inner_product, recursive_sum
-from .rounding import FpFormat, check_int, round_nearest, round_nearest_array
+from .rounding import (
+    FpFormat, SubstrateRangeError, check_int, round_nearest, round_nearest_array,
+)
 from .sr import (
     KEY_MAX, MODE_RN, MODE_SR, RngStream, SrConfig, rn_config, sr_config,
 )
@@ -106,6 +108,12 @@ class ExperimentSpec:
         for start in self.starts:
             if len(start) != 2 or not all(map(math.isfinite, start)):
                 raise ValueError(f"start point must be two finite coordinates, got {start}")
+            try:  # the descent rounds the start to precision p first
+                for c in start:
+                    round_nearest(c, fmt)
+            except SubstrateRangeError as exc:
+                raise ValueError(f"start point {start} does not round to precision "
+                                 f"{self.p}: {exc}") from None
         # each start writes its own CSV; two starts with one name would share it
         if len({csv_name(self, start) for start in self.starts}) != len(self.starts):
             raise ValueError(f"two start points share one CSV name: {self.starts}")

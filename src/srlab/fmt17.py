@@ -8,6 +8,8 @@ exact; ``|v| * L < 12`` and the sum round once each, below 32).  Its 17 digits
 ``P + rint(t)`` count only where ``t`` is farther than ``2**-30`` from a
 half-integer and they are below ``10**17``.  Every other value (zero, nan,
 inf, subnormals, values out of range, near-ties) goes through ``'%.17g' % v``.
+Each run of equal bit patterns in a column is formatted once, and every field
+is written into one fixed-width uint8 row per line.
 """
 
 from fractions import Fraction
@@ -50,8 +52,15 @@ def _digits(u: np.ndarray, groups: int) -> np.ndarray:
     return _QUAD[quads].view(np.uint8)
 
 
-def _floats(v: np.ndarray) -> np.ndarray:
-    """Rows of 45 uint8: ``'%.17g' % v`` padded with NUL bytes."""
+def _floats(v: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.17g' % v`` padded with NUL bytes into the 45-byte rows of
+    ``out``.  Each run of equal bit patterns is formatted once: a descent's
+    loss stalls for many rows, while ``0.0``, ``-0.0`` and distinct NaNs differ."""
+    pattern = v.view(np.int64)
+    first = np.empty(len(v), bool)  # the first row of each run
+    first[0] = True
+    np.not_equal(pattern[1:], pattern[:-1], out=first[1:])
+    v = v[first]
     x = np.abs(v)
     i = np.searchsorted(_LOW, x, side="right")
     fast = _FAST[i]
@@ -64,17 +73,20 @@ def _floats(v: np.ndarray) -> np.ndarray:
     fast &= (np.abs(t - n) < 0.5 - 2.0 ** -30) & (p + n < 1e17)  # D >= 10**17 rounds to >= 1e17
     digits = _digits(p.astype(np.int64) + n.astype(np.int64), 5)[:, 3:]
     m = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)  # significant digits
-    body = np.concatenate([np.broadcast_to(_BODY[:6], (len(v), 6)), digits,
-                           np.broadcast_to(_BODY[6:], (len(v), 1)), digits, _EXP[i]], axis=1)
+    body = np.empty((len(v), 45), np.uint8)
+    body[:, :6] = _BODY[:6]
+    body[:, 6:23] = body[:, 24:41] = digits
+    body[:, 23] = _BODY[6]
+    body[:, 41:] = _EXP[i]
     row = (v < 0) * 595 + (i - 1) * 17 + m - 1
     slow = np.flatnonzero(~fast)
     row[slow] = -1
-    body *= _KEEP[row]
+    body *= np.take(_KEEP, row, axis=0)
     # slow rows hold '%.17g' % v, once per distinct value: a column may hold many zeros
     bits, values = v[slow].view(np.int64).tolist(), v[slow].tolist()
     text = {b: "%.17g" % y for b, y in dict(zip(bits, values)).items()}
     body[slow, :24] = np.array([text[b] for b in bits], "S24").view(np.uint8).reshape(-1, 24)
-    return body
+    out[:] = np.take(body, first.cumsum() - 1, axis=0)
 
 
 def csv_lines(n_or_k, mode, value, stderr) -> bytes:
@@ -88,8 +100,14 @@ def csv_lines(n_or_k, mode, value, stderr) -> bytes:
     codes = np.ascontiguousarray(mode, dtype=str).view(np.uint32).reshape(len(n), -1)
     if codes.max() > 127:
         raise ValueError("mode labels must be ASCII")
-    comma, newline = (np.full((len(n), 1), c, np.uint8) for c in b",\n")
-    line = np.concatenate([((n < 0) * 45).astype(np.uint8)[:, None], digits, comma,
-                           codes.astype(np.uint8), comma, _floats(np.asarray(value, np.float64)),
-                           comma, _floats(np.asarray(stderr, np.float64)), newline], axis=1)
+    d, w = digits.shape[1], codes.shape[1]
+    # "-", digits, ",", mode, ",", value, ",", stderr, "\n" in one row per line
+    line = np.empty((len(n), d + w + 95), np.uint8)
+    line[:, 0] = (n < 0) * 45
+    line[:, 1:d + 1] = digits
+    line[:, d + 1] = line[:, d + w + 2] = line[:, d + w + 48] = 44
+    line[:, d + 2:d + w + 2] = codes
+    _floats(np.asarray(value, np.float64), line[:, d + w + 3:d + w + 48])
+    _floats(np.asarray(stderr, np.float64), line[:, d + w + 49:d + w + 94])
+    line[:, -1] = 10
     return line.tobytes().translate(None, b"\0")

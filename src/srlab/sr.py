@@ -12,17 +12,20 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``: equal keys reproduce equal bit sequences, distinct
 keys give statistically independent streams.  Each ``next_bits`` call
 consumes one 64-bit word, so the bulk sampler consumes words identically
-to a loop of single draws.  Single draws are served from a list of the
-current block's words masked ahead of time to the width last asked for, so
-a run of draws at one width costs one compare and one list read each; a
-change of width re-masks the block and consumes no word of its own.
+to a loop of single draws.  Single draws are served from an iterator over
+the current block's unserved words, masked ahead of time to the width last
+asked for, so a run of draws at one width costs one compare and one step of
+the iterator each; a change of width re-masks the unserved words and
+consumes no word of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from math import fmod, ulp
+from operator import length_hint
 
 import numpy as np
 
@@ -42,11 +45,11 @@ IDEAL = "ideal"
 MODE_SR = "sr"
 MODE_RN = "rn"
 
-# Philox words per refill.  next_bits serves them as a list of Python ints,
-# masked to the width last asked for, and re-masks the whole block when the
-# width changes; a small block keeps that list's memory and a re-mask's cost
-# small (the words do not depend on it).
-_BLOCK = 512
+# Philox words per refill.  next_bits serves them from an iterator over a list
+# of Python ints masked to the width last asked for, and a change of width
+# re-masks only the words not yet served; a refill's fixed cost is spread over
+# the block, and the block's list stays small (the words do not depend on it).
+_BLOCK = 2048
 # a seed or stream id is a Philox key word in [0, KEY_MAX]: numpy would wrap -1
 # onto KEY_MAX and truncate 1.5 or True to the key of another stream
 KEY_MAX = (1 << 64) - 1
@@ -65,38 +68,34 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._words = np.empty(0, dtype=np.uint64)  # the raw block
-        self._list: list[int] = []  # self._words masked to _k bits, as Python ints
-        self._k = None  # the k object _list was masked for; None before a draw
-        self._pos = 0
+        # the block's unserved words, masked to _k bits, as Python ints; its
+        # length hint is how many words of the block are left
+        self._it = iter(())
+        self._k = None  # the k object _it was masked for; None before a draw
 
     def next_bits(self, k: int) -> int:
         """k independent uniform bits, 1 <= k <= 64, as an integer."""
         # Identity, not ==: 8.0 == 8 would serve an 8-bit word to a float k
         # that _mask_block refuses.
         if k is self._k:
-            pos = self._pos
-            try:
-                w = self._list[pos]
-            except IndexError:  # the block is used up
-                return self._mask_block(k)
-            self._pos = pos + 1
-            return w
+            for w in self._it:
+                return w
         return self._mask_block(k)
 
     def _mask_block(self, k: int) -> int:
         """next_bits for the first draw, a new width or a used-up block:
-        validate k, refill if needed, mask the block to k bits and serve
-        its word at the position.  It never calls next_bits, which a caller
-        may wrap to count one word per call."""
+        validate k, refill if needed, mask the unserved words to k bits and
+        serve the first.  It never calls next_bits, which a caller may wrap
+        to count one word per call."""
         mask = (1 << check_int("k", k, 1, 64)) - 1  # before a word is used
-        pos = self._pos
-        if pos >= len(self._words):
-            self._words = self._bitgen.random_raw(_BLOCK)
-            pos = 0
-        self._list = (self._words & mask).tolist()
+        left = length_hint(self._it)
+        if left:
+            words = self._words[len(self._words) - left:]
+        else:
+            self._words = words = self._bitgen.random_raw(_BLOCK)
+        self._it = iter((words & mask).tolist())
         self._k = k
-        self._pos = pos + 1
-        return self._list[pos]
+        return next(self._it)
 
     def bits_array(self, k: int, size: int) -> np.ndarray:
         """``size`` draws of ``next_bits(k)`` as a uint64 array: the words left
@@ -105,14 +104,15 @@ class RngStream:
         k = check_int("k", k, 1, 64)
         size = check_int("size", size, 0)
         mask = np.uint64((1 << k) - 1)
-        words, pos = self._words, self._pos
-        if size <= len(words) - pos:
-            self._pos = pos + size
+        words, left = self._words, length_hint(self._it)
+        pos = len(words) - left
+        if size <= left:
+            next(islice(self._it, size, size), None)  # skip the words served here
             return words[pos:pos + size] & mask  # a new array, never a view
-        out = self._bitgen.random_raw(size - (len(words) - pos))
-        if pos < len(words):
+        out = self._bitgen.random_raw(size - left)
+        if left:
             out = np.concatenate((words[pos:], out))
-        self._pos = len(words)
+        self._it = iter(())
         if k < 64:
             out &= mask
         return out

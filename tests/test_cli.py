@@ -254,6 +254,33 @@ def test_rosenbrock_start_overflow_is_reported_not_raised(tmp_path, capsys):
     assert all(line.split(",")[2] == "nan" for line in lines[1:])
 
 
+@pytest.mark.parametrize("start, shown, why", [
+    ("0,1e-310", "(0.0, 1e-310)", "underflows to a binary64 subnormal"),
+    ("1.7976931348623157e308,0", "(1.7976931348623157e+308, 0.0)", "overflows"),
+])
+def test_start_off_the_normal_range_at_p_exits_2(start, shown, why, tmp_path, capsys):
+    # the descent rounds the start to precision p first; the spec refuses a
+    # start that this rounding would refuse, and names it
+    with pytest.raises(SystemExit) as exc:
+        main(["rosenbrock", "--start", start, "--iters", "3", "--trials", "1", "--r", "3",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"start point {shown} does not round to precision 11: " in err and why in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tiny_normal_start_runs(tmp_path, capsys):
+    code, _, _ = run_cli(
+        ["rosenbrock", "--start", "0,1e-300", "--iters", "3", "--trials", "1",
+         "--r", "3", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / "rosenbrock_p11_r3_start0-1e-300.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 4
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("trials", ["1", "2"])
 def test_rosenbrock_start_inf_loss_is_reported_not_raised(trials, tmp_path, capsys):

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import srlab
+from srlab.experiments import write_rows
 from srlab.fmt17 import csv_lines
 
 
@@ -51,6 +52,45 @@ def test_any_float_renders_as_percent_17g(values):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
 def test_any_bit_pattern_renders_as_percent_17g(words):
     _check(np.array(words, np.uint64).view(np.float64).tolist())
+
+
+def _bits(word: int) -> float:
+    return float(np.array([word], np.uint64).view(np.float64)[0])
+
+
+# quiet and signalling NaNs of both signs, with different payloads
+_NANS = [_bits(w) for w in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                            0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF)]
+_EDGES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0**-1022 - 5e-324,
+          -1e-310, 2.0**-1022, 0.1, -0.1] + _NANS
+_VALUES = st.one_of(st.floats(), st.sampled_from(_EDGES),
+                    st.integers(0, 2**64 - 1).map(_bits))
+
+
+# equal values are formatted once per run; 0.0 and -0.0, and NaNs that
+# differ in sign or payload, are different bit patterns and stay apart
+@example([(0.0, 3), (-0.0, 2), (0.0, 1), (-0.0, 1)])
+@example([(n, 2) for n in _NANS] + [(_NANS[0], 1), (-0.0, 1)])
+@example([(math.inf, 2), (-math.inf, 2), (5e-324, 3), (-5e-324, 1), (2.0**-1022, 2)])
+@example([(0.1, 50)])  # one run fills the column
+@example([(1.5, 1)])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VALUES, st.integers(1, 12)), min_size=1, max_size=20))
+def test_runs_of_equal_values_render_as_percent_17g(runs):
+    _check([v for v, length in runs for _ in range(length)])
+
+
+def test_runs_across_write_rows_chunks(tmp_path):
+    # write_rows formats 4096 rows at a time: one run crosses a chunk
+    # boundary, and another ends at one with -0.0 before 0.0
+    values = [0.1] * 4000 + [1 / 3] * 200 + [-0.0] * 3992 + [0.0] * 50 + [math.nan] * 3
+    ks = list(range(len(values)))
+    modes = ["sr3"] * len(values)
+    path = write_rows(tmp_path / "runs.csv", (np.array(ks), np.array(modes),
+                                               np.array(values), np.array(values[::-1])))
+    want = "n_or_k,mode,value,stderr\n" + "".join(
+        "%d,%s,%.17g,%.17g\n" % row for row in zip(ks, modes, values, values[::-1]))
+    assert path.read_bytes() == want.encode()
 
 
 def test_powers_of_ten_and_their_neighbours():

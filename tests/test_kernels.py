@@ -45,14 +45,14 @@ def test_one_next_bits_call_per_word_across_a_width_change_and_a_refill(monkeypa
 
     monkeypatch.setattr(RngStream, "next_bits", counted)
     fmt = sr_config(11).fmt
-    a = [round_nearest(v, fmt) for v in random_substrate_values(7, 400, -8, 8)]
+    a = [round_nearest(v, fmt) for v in random_substrate_values(7, 1500, -8, 8)]
     rng = RngStream(5, 0)
     with recorded_sr_roundings() as records:
         recursive_sum(a, sr_config(11, 3), rng)  # 3-bit words, then 7-bit
         recursive_sum(a, sr_config(11, 7), rng)  # ones in mid-block
     off_grid = sum(not is_representable(c, fmt) for c, *_ in records)
     # the words consumed: the stream's next word is Philox word number `used`
-    raw = np.random.Philox(key=[5, 0]).random_raw(1000).tolist()
+    raw = np.random.Philox(key=[5, 0]).random_raw(4000).tolist()
     used = raw.index(next_bits(rng, 64))
     assert _BLOCK < used  # a refill was crossed
     assert len(calls) == used == off_grid

@@ -22,6 +22,7 @@ from srlab.rounding import (
     ulp,
 )
 from srlab.sr import (
+    _BLOCK,
     IDEAL,
     RngStream,
     SrConfig,
@@ -203,6 +204,12 @@ def test_interleaved_draws_match_next_bits_loop(calls):
 # uses the block up under a list masked to the width drawn next
 @example([(7, 100, False), (11, 300, False), (7, 200, False), (64, 5, True),
           (3, 1000, False), (3, 600, True), (3, 5, False)])
+# a width change after a bulk draw inside the block re-masks only what is left
+@example([(7, 10, False), (7, 100, True), (11, 50, False), (11, 3, True), (5, 20, False)])
+# single draws use the block up exactly, then the width changes
+@example([(5, _BLOCK, False), (9, 10, False)])
+# a bulk draw uses the block up exactly, then the width changes
+@example([(5, 100, False), (5, _BLOCK - 100, True), (9, 10, False)])
 @settings(max_examples=60, deadline=None)
 def test_draws_are_the_philox_words_masked(steps):
     # the oracle is the generator itself: word i of any mix of next_bits and
@@ -227,7 +234,7 @@ def test_bits_array_size_zero_draws_nothing():
     assert a.next_bits(64) == RngStream(8, 2).next_bits(64)
 
 
-@pytest.mark.parametrize("lead", [0, 5, 512])
+@pytest.mark.parametrize("lead", [0, 5, 512, _BLOCK])
 def test_bits_array_negative_size_leaves_stream_unchanged(lead):
     a, b = RngStream(8, 2), RngStream(8, 2)
     assert [a.next_bits(64) for _ in range(lead)] == [b.next_bits(64) for _ in range(lead)]
@@ -237,7 +244,8 @@ def test_bits_array_negative_size_leaves_stream_unchanged(lead):
 
 
 # served from the block, from the generator, and from both
-@pytest.mark.parametrize("lead, size", [(0, 5000), (5, 100), (5, 5000), (512, 700)])
+@pytest.mark.parametrize("lead, size", [(0, 5000), (5, 100), (5, 5000), (512, 700),
+                                        (_BLOCK, 700)])
 @pytest.mark.parametrize("k", [11, 64])
 def test_bits_array_result_does_not_alias_the_stream(lead, size, k):
     a, b = RngStream(8, 2), RngStream(8, 2)
@@ -549,8 +557,8 @@ def sr_configs(draw):
 @given(
     x=substrate_floats,
     cfg=sr_configs(),
-    size=st.sampled_from([0, 1, 511, 512, 513, 5000]),
-    lead=st.sampled_from([0, 0, 1, 300, 511, 512, 513]),
+    size=st.sampled_from([0, 1, 511, 512, 513, 5000, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+    lead=st.sampled_from([0, 0, 1, 300, 511, 512, 513, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
     seed=st.integers(0, 2**32),
 )
 # -0.0 keeps its sign, like sr_round
