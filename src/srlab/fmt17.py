@@ -82,10 +82,9 @@ def _floats(v: np.ndarray, out: np.ndarray) -> None:
     slow = np.flatnonzero(~fast)
     row[slow] = -1
     body *= np.take(_KEEP, row, axis=0)
-    # slow rows hold '%.17g' % v, once per distinct value: a column may hold many zeros
-    bits, values = v[slow].view(np.int64).tolist(), v[slow].tolist()
-    text = {b: "%.17g" % y for b, y in dict(zip(bits, values)).items()}
-    body[slow, :24] = np.array([text[b] for b in bits], "S24").view(np.uint8).reshape(-1, 24)
+    # slow rows hold '%.17g' % v; v already holds one row per run of equal bits
+    text = np.array(["%.17g" % y for y in v[slow].tolist()], "S24")
+    body[slow, :24] = text.view(np.uint8).reshape(-1, 24)
     out[:] = np.take(body, first.cumsum() - 1, axis=0)
 
 

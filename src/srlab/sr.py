@@ -182,18 +182,17 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
     count of :func:`enumerate_distribution`, and the lower one otherwise.
     No randomness is consumed when x is already representable.  When
     ``2**-960 < |x| < 2**960``, x rounds away from zero iff
-    ``|rem| + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem`` the exact
-    ``fmod`` of x by its grid spacing and z the r-bit draw.
+    ``rem + z * 2**(e-p-r+1) >= 2**(e-p+1)``, with ``rem`` the exact
+    ``fmod`` of |x| by its grid spacing and z the r-bit draw.
     """
-    # Hot path, float operations only, one branch per sign: with u the
-    # substrate ulp of x and up = u * 2**(53-p) the precision-p spacing,
-    # rem = fmod(x, up) is x's part below the grid, of x's sign, and its
-    # p+r-bit part is k = |rem| // (u * 2**(53-p-r)).  k + z >= 2**r iff
-    # |rem| + z * u * 2**(53-p-r) >= up, since the bits of |rem| below p+r
-    # add less than one step of z.  Every term is a multiple of u below
+    # Hot path, float operations only, for x > 0: with u the substrate ulp
+    # of x and up = u * 2**(53-p) the precision-p spacing, rem = fmod(x, up)
+    # is x's part below the grid and its p+r-bit part is
+    # k = rem // (u * 2**(53-p-r)).  k + z >= 2**r iff
+    # rem + z * u * 2**(53-p-r) >= up, since the bits of rem below p+r add
+    # less than one step of z.  Every term is a multiple of u below
     # 2*up <= 2**52 * u, so the sum is exact, and so are fmod, x - rem and
-    # x - rem +- up: grid points, normal and finite inside the guard.  Zero,
-    # tiny, huge and non-finite x take _off_grid/_rebuild.
+    # x - rem + up: grid points, normal and finite inside the guard.
     if _SPLIT_MIN < x < _SPLIT_MAX:
         u = ulp(x)
         up = u * cfg.ulps_p
@@ -203,16 +202,11 @@ def sr_round(x: float, cfg: SrConfig, rng: RngStream) -> float:
         if rem + rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) < up:
             return x - rem
         return x - rem + up
+    # -x takes the branch above with the same rem and the same single draw:
+    # negation is exact, fmod(-x, up) = -fmod(x, up) and ulp(-x) = ulp(x).
     if -_SPLIT_MAX < x < -_SPLIT_MIN:
-        u = ulp(x)
-        up = u * cfg.ulps_p
-        rem = fmod(x, up)
-        if rem == 0.0:
-            return x
-        if rng.next_bits(cfg.r_bits) * (u * cfg.ulps_pr) - rem < up:
-            return x - rem
-        return x - rem - up
-    d = _off_grid(x, cfg)
+        return -sr_round(-x, cfg, rng)
+    d = _off_grid(x, cfg)  # zero, tiny, huge and non-finite x
     if d is None:  # zero or on the grid
         return x
     sig, exp, k = d

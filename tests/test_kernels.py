@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +261,32 @@ def test_precomputed_exact_is_honored():
     res = recursive_sum(vec, rn_config(11), RngStream(0, 0), exact=fake)
     assert res.exact == fake
     assert res.rel_error == 0.25
+
+
+@given(
+    p=st.sampled_from([8, 11, 24]),
+    r=st.sampled_from([1, 3, 7, IDEAL]),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=50, deadline=None)
+def test_kernels_round_a_negated_vector_to_the_negated_result(p, r, n, seed):
+    # SR is sign-symmetric: each partial result of the negated input is the
+    # negation of the original's, rounded with the same draw
+    draw = random.Random(seed).randint
+    m = (1 << p) - 1
+    a, b = ([math.ldexp(draw(-m, m), draw(-12, 12)) for _ in range(n)] for _ in "ab")
+    neg_a = [-x for x in a]
+    cfg = sr_config(p, r)
+    for kernel, args, neg_args in ((recursive_sum, (a,), (neg_a,)),
+                                   (inner_product, (a, b), (neg_a, b))):
+        rng, neg_rng = RngStream(seed, 0), RngStream(seed, 0)
+        res, neg = kernel(*args, cfg, rng), kernel(*neg_args, cfg, neg_rng)
+        # ==, not the bits: x + -x is +0.0 for either sign of x
+        assert neg.value == -res.value
+        assert neg.exact == -res.exact
+        assert neg.rel_error == res.rel_error
+        assert neg_rng.next_bits(64) == rng.next_bits(64)  # as many words drawn
 
 
 # ------------------------------------------------------------ error contract
