@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -45,7 +46,7 @@ def _parse_start(text: str) -> tuple:
 def _read_config(path: str, command: str, parser) -> dict:
     """The values of a ``key = value`` config file, each converted by its
     option's converter; a bad file, key or value exits 2 via ``parser``."""
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command][1]
     values, unknown = {}, set()  # dest -> (key, text): a later line wins
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -88,45 +89,36 @@ _GRID = {
 }
 _OUT_DIR = {"out_dir": (str, _SPEC["out_dir"], "directory for the CSV files")}
 
-# per-command options: key -> (converter, default, help).  Each option is the
-# flag --<key> with '_' written '-' (--lambda for lam) and the config key <key>.
-_SCHEMAS = {
-    "round": {
+# command -> (help, options), where options maps key -> (converter, default,
+# help).  Each option is the flag --<key> with '_' written '-' (--lambda for
+# lam) and the config key <key>.  sum and dot share one options dict.
+_SUM = {
+    **_P, **_R_LIST, **_GRID, **_TRIALS, **_OUT_DIR,
+    "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
+}
+_COMMANDS = {
+    "round": ("inspect the rounding of a single value", {
         "value": (float, None, "value to round"),
         **_P,
         "r": (_parse_r_value, IDEAL, "random bits, or 'ideal'"),
         "samples": (int, 0, "Monte Carlo samples to draw"),
         "seed": (int, 0, "random seed"),
-    },
-    "sum": {
-        **_P, **_R_LIST, **_GRID, **_TRIALS, **_OUT_DIR,
-        "input_file": (str, None, "fixed input vectors, one column (sum) or two (dot)"),
-    },
-    "rosenbrock": {
+    }),
+    "sum": ("recursive-summation error experiment", _SUM),
+    "dot": ("inner-product error experiment", _SUM),
+    "rosenbrock": ("gradient-descent convergence experiment", {
         **_P, **_R_LIST,
         "iters": (int, _SPEC["iters"], "gradient-descent iterations"),
         "t": (float, _SPEC["step"], "learning rate"),
         "start": (_parse_start, None, "start point 'x,y' (default: both default starts)"),
         **_TRIALS, **_OUT_DIR,
-    },
-    "bounds-table": {
+    }),
+    "bounds-table": ("evaluate closed-form error bounds on an n grid", {
         **_P, **_R_LIST,
         "lam": (float, _SPEC["lam"], "failure probability"),
         **_GRID, **_OUT_DIR,
-    },
-    "suggest-r": {
-        "n": (int, None, "problem size"),
-    },
-}
-_SCHEMAS["dot"] = _SCHEMAS["sum"]
-
-_COMMANDS = {
-    "round": "inspect the rounding of a single value",
-    "sum": "recursive-summation error experiment",
-    "dot": "inner-product error experiment",
-    "rosenbrock": "gradient-descent convergence experiment",
-    "bounds-table": "evaluate closed-form error bounds on an n grid",
-    "suggest-r": "random-bit budget for a problem size",
+    }),
+    "suggest-r": ("random-bit budget for a problem size", {"n": (int, None, "problem size")}),
 }
 
 # option key -> its dest, where two options set one value (the last given wins)
@@ -211,10 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Limited-precision stochastic rounding laboratory", allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        # argparse reads only -5 and -1.5 as values, so "--start -0.5,0.5" would
+        # lose its value; no srlab flag starts with '-' and a digit
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
         sp.add_argument("--config", help="key = value config file; flags win")
-        for key, (conv, default, help_opt) in _SCHEMAS[name].items():
+        for key, (conv, default, help_opt) in options.items():
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             if conv not in (int, float, str):  # argparse's messages name these well
                 conv = _own_message(conv)

@@ -117,8 +117,7 @@ class ExperimentSpec:
         # each start writes its own CSV; two starts with one name would share it
         if len({csv_name(self, start) for start in self.starts}) != len(self.starts):
             raise ValueError(f"two start points share one CSV name: {self.starts}")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lambda must be in (0, 1)")
+        bounds.BoundQuery(1, self.p, lam=self.lam)  # checks lam
         check_int("seed", self.seed, 0, KEY_MAX)
 
 
@@ -129,7 +128,7 @@ def _draw_uniform_p(rng: RngStream, n: int, fmt: FpFormat) -> np.ndarray:
 def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float]]:
     cols: list[list[float]] = [[] for _ in range(columns)]
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -137,7 +136,10 @@ def _load_vector_file(path: str, fmt: FpFormat, columns: int) -> list[list[float
             if len(parts) != columns:
                 raise ValueError(f"expected {columns} column(s) in {path!r}")
             for c, token in enumerate(parts):
-                cols[c].append(round_nearest(float(token), fmt))
+                try:
+                    cols[c].append(round_nearest(float(token), fmt))
+                except (ValueError, SubstrateRangeError) as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from None
     if not cols[0]:
         raise ValueError(f"no data in {path!r}")
     return cols

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import shlex
 import weakref
 from pathlib import Path
@@ -500,6 +501,62 @@ def test_readme_cli_examples_parse():
     for line in examples:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert _check(args.command, vars(args)) is not None, line
+
+
+def test_readme_names_every_subcommand_in_order():
+    # README's srlab.cli row lists the subcommands of the one command table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    row = next(line for line in readme.splitlines() if line.startswith("| `srlab.cli` |"))
+    named = re.findall(r"`([\w-]+)`", row.split(" command with ", 1)[1].split(" subcommands", 1)[0])
+    assert named == list(build_parser().commands)
+
+
+@pytest.mark.parametrize("start, name", [
+    ("-0.5,0.5", "start-0.5-0.5"),
+    ("-1e-3,-2", "start-0.001--2"),
+])
+def test_negative_start_follows_its_flag(start, name, tmp_path, capsys):
+    # argparse alone reads "-0.5,0.5" as a flag; it is the value of --start,
+    # the same run as --start=-0.5,0.5
+    flags = ["--iters", "3", "--trials", "2", "--r", "3", "--out-dir"]
+    code, _, err = run_cli(["rosenbrock", "--start", start, *flags, str(tmp_path / "a")], capsys)
+    assert (code, err) == (0, "")
+    code, _, _ = run_cli(["rosenbrock", f"--start={start}", *flags, str(tmp_path / "b")], capsys)
+    assert code == 0
+    csv = f"rosenbrock_p11_r3_{name}.csv"
+    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
+def test_negative_value_follows_its_flag(capsys):
+    argv = ["round", "--value", "-1e-300", "--p", "11", "--r", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("value     = -1e-300\n")
+    assert run_cli(["round", "--value=-1e-300", *argv[3:]], capsys) == (0, out, "")
+    # a subnormal has no ulp at p = 2, whatever its sign
+    for value in ("-5e-324", "5e-324"):
+        code, out, err = run_cli(["round", "--value", value, "--p", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: result underflows to a binary64 subnormal\n"
+
+
+@pytest.mark.parametrize("token, message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ("inf", "finite value required, got inf"),
+    ("1.7976931348623157e308", "result overflows the binary64 substrate"),
+    ("1e-310", "result underflows to a binary64 subnormal"),
+])
+def test_input_file_value_error_names_file_and_line(token, message, tmp_path, capsys):
+    data = tmp_path / "vec.txt"
+    data.write_text(f"0.5\n# a comment\n{token}\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["sum", "--r", "3", "--trials", "2", "--input-file", str(data), "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: {data}:3: {message}\n"
+    assert not out.exists()
 
 
 def test_p53_says_r_must_be_ideal(capsys):
